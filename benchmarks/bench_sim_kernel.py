@@ -240,7 +240,7 @@ def test_campaign_walls_and_artifact(benchmark):
         serial = run_campaign(vendor("OZWI"), workers=1, **kwargs)
         serial_wall = time.perf_counter() - t0
         t0 = time.perf_counter()
-        pooled = run_campaign(vendor("OZWI"), workers=2, pool=True, **kwargs)
+        pooled = run_campaign(vendor("OZWI"), workers=2, **kwargs)
         pooled_wall = time.perf_counter() - t0
         assert serial.report.ids_probed == pooled.report.ids_probed
         return round(serial_wall, 4), round(pooled_wall, 4)

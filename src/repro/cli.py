@@ -15,7 +15,7 @@ Usage (after ``pip install -e .``)::
     python -m repro slo                 # SLO report: burn rates, latency
     python -m repro slo --chaos cloud-brownout   # score an outage window
     python -m repro campaign --workers 4 --households 400
-    python -m repro campaign --workers 4 --pool --repeat 3   # warm-started
+    python -m repro campaign --workers 4 --repeat 3   # repeats warm-start
     python -m repro campaign --households 8 --chaos lossy-lan
     python -m repro chaos list                 # fault-plan catalog
     python -m repro chaos run cloud-restart --seconds 120
@@ -270,7 +270,9 @@ def _cmd_slo(args: argparse.Namespace) -> str:
 def _cmd_campaign(args: argparse.Namespace) -> str:
     import json
 
-    from repro.parallel import run_campaign
+    from contextlib import nullcontext
+
+    from repro.parallel import WorkerPool, run_campaign
     from repro.vendors import vendor
 
     chaos = None
@@ -295,24 +297,16 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     )
     design = vendor(args.vendor)
     repeats = max(1, args.repeat)
-    results = []
-    if args.pool:
-        from repro.parallel import WorkerPool
-
-        with WorkerPool(
-            workers=args.workers, warm_start=not args.no_warm_start
-        ) as pool:
-            for _ in range(repeats):
-                results.append(
-                    run_campaign(design, worker_pool=pool, **campaign_kwargs)
-                )
-    else:
-        for _ in range(repeats):
-            results.append(run_campaign(design, **campaign_kwargs))
+    # One pool for every repeat, so repeats warm-start.
+    with WorkerPool(workers=args.workers) if args.workers > 1 else nullcontext() as pool:
+        results = [
+            run_campaign(design, worker_pool=pool, **campaign_kwargs)
+            for _ in range(repeats)
+        ]
     result = results[-1]
     if args.format == "json":
         payload = {
-            "report": result.to_dict(include_pool=args.pool),
+            "report": result.to_dict(include_pool=pool is not None),
             "snapshot": result.snapshot,
         }
         if repeats > 1:
@@ -813,17 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--detect", action="store_true",
                           help="attach the read-only detection pipeline "
                                "and score it against ground truth")
-    campaign.add_argument("--pool", action="store_true",
-                          help="run shards through a persistent worker pool "
-                               "(heartbeats, crash-respawn, warm-started "
-                               "worlds) instead of spawn-per-shard")
-    campaign.add_argument("--no-warm-start", action="store_true",
-                          help="with --pool: always rebuild worlds cold "
-                               "instead of restoring cached world images")
     campaign.add_argument("--repeat", type=int, default=1,
-                          help="run the campaign N times (with --pool the "
-                               "pool persists across repeats, so repeats "
-                               "warm-start); reports the last run")
+                          help="run the campaign N times (with --workers > 1 "
+                               "one worker pool serves every repeat, so "
+                               "repeats warm-start); reports the last run")
     campaign.set_defaults(run=_cmd_campaign)
 
     chaos = sub.add_parser(

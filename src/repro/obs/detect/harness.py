@@ -16,6 +16,7 @@ the cycle).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Dict, Optional, Sequence
 
 from repro.chaos.campaign import ChaosSpec
@@ -23,6 +24,8 @@ from repro.cloud.policy import VendorDesign
 from repro.core.errors import ConfigurationError
 from repro.obs.detect.score import render_score
 from repro.parallel.engine import ShardedCampaignResult, run_campaign
+from repro.parallel.pool import WorkerPool
+from repro.parallel.protocol import WorldImageCache
 
 #: Table II attack class -> the fleet campaign that realizes it.
 ATTACK_CAMPAIGNS = {
@@ -44,20 +47,18 @@ def run_detection(
     run_seconds: float = 12.0,
     chaos: Optional[ChaosSpec] = None,
     trace_messages: bool = False,
-    pool: bool = False,
-    warm_start: bool = True,
 ) -> Dict[str, ShardedCampaignResult]:
     """Run each attack class's campaign with detection attached.
 
     Returns ``{attack_id: ShardedCampaignResult}`` in the order given;
     each result's ``.detection`` property is the merged score.
 
-    With ``pool=True`` every attack's campaign runs through one
-    persistent :class:`~repro.parallel.pool.WorkerPool`, so the A1/A3/A4
+    With ``workers > 1`` every attack's campaign runs through one
+    :class:`~repro.parallel.pool.WorkerPool`, so the A1/A3/A4
     deployed-fleet attacks share one warm-started world per shard
     instead of rebuilding it three times (A2 always builds cold — it
     attacks factory-fresh fleets).  With ``workers=1`` the same
-    amortization happens in-process through a shared image cache.
+    amortization happens in-process through one shared image cache.
     Results are bit-identical either way.
     """
     runs: Dict[str, ShardedCampaignResult] = {}
@@ -78,25 +79,13 @@ def run_detection(
                 f"unknown attack class {attack_id!r}; "
                 f"expected one of {sorted(ATTACK_CAMPAIGNS)}"
             )
-    if pool and workers > 1:
-        from repro.parallel.pool import WorkerPool
-
-        with WorkerPool(workers=workers, warm_start=warm_start) as worker_pool:
-            for attack_id in attacks:
-                runs[attack_id] = run_campaign(
-                    design,
-                    campaign=ATTACK_CAMPAIGNS[attack_id],
-                    worker_pool=worker_pool,
-                    **campaign_kwargs,
-                )
-    else:
-        from repro.parallel.protocol import WorldImageCache
-
-        image_cache = WorldImageCache() if (pool or warm_start) and workers == 1 else None
+    with WorkerPool(workers=workers) if workers > 1 else nullcontext() as worker_pool:
+        image_cache = WorldImageCache() if worker_pool is None else None
         for attack_id in attacks:
             runs[attack_id] = run_campaign(
                 design,
                 campaign=ATTACK_CAMPAIGNS[attack_id],
+                worker_pool=worker_pool,
                 image_cache=image_cache,
                 **campaign_kwargs,
             )

@@ -2,11 +2,11 @@
 
 Partitions a fleet campaign into independent shards, fans the shards
 out across worker processes, and merges the per-shard reports, metrics
-and observability snapshots deterministically.  Shards run either
-spawn-per-shard or through a persistent :class:`WorkerPool` whose
-workers warm-start deployed worlds from cached images.  See
-``docs/parallelism.md`` for the shard model and its guarantees, and
-``docs/performance.md`` for the pool/warm-start cost model.
+and observability snapshots deterministically.  One shard runs inline;
+more run through a :class:`WorkerPool`, whose workers warm-start
+deployed worlds from cached images.  See ``docs/parallelism.md`` for
+the shard model and its guarantees, and ``docs/performance.md`` for the
+pool/warm-start cost model.
 """
 
 from repro.parallel.engine import (

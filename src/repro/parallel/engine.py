@@ -18,22 +18,20 @@ the results are merged deterministically:
 * merge order is shard order, never completion order, so worker
   scheduling cannot leak into the results.
 
-:func:`run_shard` is the spawn-safe worker entry point: a module-level
-function over a picklable :class:`ShardSpec`, so it works under every
-``multiprocessing`` start method.  The spawn-per-shard path prefers
-``fork`` where the platform offers it and falls back to ``spawn``;
-``run_campaign(pool=True)`` instead routes shards through a persistent
-:class:`~repro.parallel.pool.WorkerPool` whose workers warm-start
-deployed worlds from cached :class:`~repro.fleet.WorldImage`\\ s — see
-``docs/performance.md`` for the cost model of when each wins.
+:func:`run_shard` is the worker entry point: a module-level function
+over a picklable :class:`ShardSpec`, so it works under every
+``multiprocessing`` start method.  One shard runs inline; more run
+through a :class:`~repro.parallel.pool.WorkerPool`, whose workers
+warm-start deployed worlds from cached
+:class:`~repro.fleet.WorldImage`\\ s — see ``docs/performance.md`` for
+the cost model.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.attacks.campaign import (
     CampaignReport,
@@ -56,17 +54,12 @@ from repro.obs.detect.score import merge_detection, score_detection
 from repro.obs.export import merge_snapshots, snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
+from repro.parallel.pool import WorkerPool
 from repro.parallel.protocol import DEPLOYED_CAMPAIGNS, WorldImageCache, world_key
 from repro.parallel.shards import derive_shard_seed, partition
 
-if TYPE_CHECKING:  # import cycle guard: pool imports engine lazily
-    from repro.parallel.pool import WorkerPool
-
 #: Campaigns the engine can shard.
 CAMPAIGNS = ("binding-dos", "mass-unbind", "shadow-probe", "mass-rebind")
-
-#: Campaigns that attack an already-deployed (set-up) fleet.
-_DEPLOYED_CAMPAIGNS = DEPLOYED_CAMPAIGNS
 
 
 @dataclass(frozen=True)
@@ -147,30 +140,23 @@ def run_shard(
     """
     started = time.perf_counter()
     obs = Observability(trace_messages=spec.trace_messages)
-    key = world_key(spec) if image_cache is not None else None
-    image = image_cache.get(key) if key is not None else None
-    world_source = "cold"
-    pipeline: Optional[DetectionPipeline] = None
-    controller = None
     runner = {
+        "binding-dos": campaign_binding_dos,
         "mass-unbind": campaign_mass_unbind,
         "shadow-probe": campaign_shadow_probe,
         "mass-rebind": campaign_mass_rebind,
     }.get(spec.campaign)
+    if runner is None:
+        raise ConfigurationError(f"unknown campaign {spec.campaign!r}")
+    key = world_key(spec) if image_cache is not None else None
+    image = image_cache.get(key) if key is not None else None
+    controller = None
     if image is not None:
-        # Warm start: restore the deployed world, then attach detection.
-        # The pipeline sees campaign events live and back-fills history
-        # via catch_up below — alerts are seq-deduplicated, so this is
+        # Warm start: restore the deployed world.  The detection pipeline
+        # attached below sees campaign events live and back-fills history
+        # via catch_up — alerts are seq-deduplicated, so this is
         # equivalent to having streamed the whole run.
         fleet = FleetDeployment.from_image(image, observer=obs)
-        world_source = "warm"
-        world_seconds = time.perf_counter() - started
-        if spec.detect:
-            pipeline = DetectionPipeline()
-            pipeline.attach(fleet.cloud)
-        report = runner(
-            fleet, max_probes=spec.max_probes, request_rate=spec.request_rate
-        )
     else:
         fleet = FleetDeployment(
             spec.design,
@@ -181,25 +167,19 @@ def run_shard(
         )
         if spec.chaos is not None:
             controller = apply_chaos(fleet, spec.chaos)
-        if spec.detect:
-            pipeline = DetectionPipeline()
-            pipeline.attach(fleet.cloud)
-        if spec.campaign == "binding-dos":
-            world_seconds = time.perf_counter() - started
-            report = campaign_binding_dos(
-                fleet, max_probes=spec.max_probes, request_rate=spec.request_rate
-            )
-        elif spec.campaign in _DEPLOYED_CAMPAIGNS:
-            fleet.setup_all()
-            fleet.run(spec.run_seconds)
-            world_seconds = time.perf_counter() - started
-            if key is not None:
-                image_cache.put(key, fleet.capture_image())
-            report = runner(
-                fleet, max_probes=spec.max_probes, request_rate=spec.request_rate
-            )
-        else:
-            raise ConfigurationError(f"unknown campaign {spec.campaign!r}")
+    pipeline: Optional[DetectionPipeline] = None
+    if spec.detect:
+        pipeline = DetectionPipeline()
+        pipeline.attach(fleet.cloud)
+    if image is None and spec.campaign in DEPLOYED_CAMPAIGNS:
+        fleet.setup_all()
+        fleet.run(spec.run_seconds)
+    world_seconds = time.perf_counter() - started
+    if key is not None and image is None:
+        image_cache.put(key, fleet.capture_image())
+    report = runner(
+        fleet, max_probes=spec.max_probes, request_rate=spec.request_rate
+    )
     # Publish per-store size/churn gauges before snapshotting metrics so
     # the shard's state-layer numbers ride the normal merge path.
     fleet.cloud.emit_state_gauges()
@@ -230,7 +210,7 @@ def run_shard(
         state_counts=fleet.cloud.state_counts(),
         chaos=chaos_summary,
         detection=detection_score,
-        world_source=world_source,
+        world_source="cold" if image is None else "warm",
         world_seconds=world_seconds,
         runtime={"authz_cache": fleet.cloud.authz_cache.stats()},
     )
@@ -251,8 +231,8 @@ class ShardedCampaignResult:
     snapshot: Dict[str, Any]
     wall_seconds: float
     details: List[str] = field(default_factory=list)
-    #: :meth:`WorkerPool.stats` when the campaign ran through a
-    #: persistent pool; ``None`` on spawn-per-shard and inline runs
+    #: :meth:`WorkerPool.stats` when the campaign ran through a worker
+    #: pool; ``None`` on inline runs
     pool_stats: Optional[Dict[str, Any]] = None
 
     @property
@@ -313,13 +293,13 @@ class ShardedCampaignResult:
 
     @property
     def runtime_stats(self) -> Dict[str, Any]:
-        """Execution-side statistics: authz-cache hit rates (+ pool).
+        """Execution-side statistics: authz-cache hit rates.
 
-        Summed over shards from each :attr:`ShardResult.runtime` plus
-        the coordinator's pool stats when a pool ran the shards.  Part
+        Summed over shards from each :attr:`ShardResult.runtime`.  Part
         of the *runtime* report line only — deliberately excluded from
         merged campaign results and the default :meth:`to_dict`, so
         execution strategy never leaks into the bit-identical outputs.
+        (Pool accounting lives in :attr:`pool_stats`.)
         """
         authz = {"hits": 0, "misses": 0, "lookups": 0, "invalidations": 0}
         for result in self.shard_results:
@@ -329,18 +309,7 @@ class ShardedCampaignResult:
         authz["hit_rate"] = (
             authz["hits"] / authz["lookups"] if authz["lookups"] else 0.0
         )
-        data: Dict[str, Any] = {"authz_cache": authz}
-        if self.pool_stats is not None:
-            stats = self.pool_stats
-            data["pool"] = {
-                "tasks": stats.get("tasks", 0),
-                "world_seconds": sum(
-                    r.world_seconds for r in self.shard_results
-                ),
-                "utilization": stats.get("utilization", 0.0),
-                "respawns": stats.get("respawns", 0),
-            }
-        return data
+        return {"authz_cache": authz}
 
     def to_dict(self, include_pool: bool = False) -> Dict[str, Any]:
         """JSON-able report dict (what the benchmarks/CLI JSON consume).
@@ -401,23 +370,14 @@ class ShardedCampaignResult:
                 f"worker pool: start={stats['start_method']} "
                 f"tasks={stats['tasks']} warm={stats['warm_starts']} "
                 f"cold={stats['cold_builds']} respawns={stats['respawns']} "
-                f"utilization={stats['utilization']:.0%}"
+                f"utilization={stats['utilization']:.0%} world="
+                f"{sum(r.world_seconds for r in self.shard_results):.2f}s"
             )
-        runtime = self.runtime_stats
-        authz = runtime["authz_cache"]
-        runtime_line = (
+        authz = self.runtime_stats["authz_cache"]
+        lines.append(
             f"runtime: authz-cache {authz['hits']}/{authz['lookups']} hits "
             f"({authz['hit_rate']:.0%})"
         )
-        pool_runtime = runtime.get("pool")
-        if pool_runtime is not None:
-            runtime_line += (
-                f" · pool tasks={pool_runtime['tasks']} "
-                f"world={pool_runtime['world_seconds']:.2f}s "
-                f"utilization={pool_runtime['utilization']:.0%} "
-                f"respawns={pool_runtime['respawns']}"
-            )
-        lines.append(runtime_line)
         for result in self.shard_results:
             lines.append(
                 f"  shard {result.shard_index}: seed={result.seed} "
@@ -479,18 +439,6 @@ class ShardedCampaignResult:
                 + f" ({detection['alerts']} alerts over {detection['events']} events)"
             )
         return "\n".join(lines)
-
-
-def _pool_context(mp_start: Optional[str]) -> multiprocessing.context.BaseContext:
-    """The multiprocessing context to fan out with.
-
-    Prefers ``fork`` (cheap worker start; available on POSIX) and falls
-    back to ``spawn`` — :func:`run_shard` is spawn-safe either way.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if mp_start is None:
-        mp_start = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(mp_start)
 
 
 def build_shard_specs(
@@ -559,12 +507,9 @@ def run_campaign(
     run_seconds: float = 12.0,
     trace_messages: bool = True,
     snapshot_max_spans: Optional[int] = None,
-    mp_start: Optional[str] = None,
     chaos: Optional[ChaosSpec] = None,
     detect: bool = False,
-    pool: bool = False,
-    warm_start: bool = True,
-    worker_pool: Optional["WorkerPool"] = None,
+    worker_pool: Optional[WorkerPool] = None,
     image_cache: Optional[WorldImageCache] = None,
 ) -> ShardedCampaignResult:
     """Run one fleet campaign sharded across *workers* processes.
@@ -577,22 +522,17 @@ def run_campaign(
     registry, observability snapshots via
     :func:`~repro.obs.export.merge_snapshots` with shard provenance.
 
-    Three execution strategies, all producing bit-identical campaign
+    Shards run one of three ways, all producing bit-identical campaign
     results for the same specs:
 
-    * default — spawn-per-shard via a throwaway ``multiprocessing``
-      pool (``mp_start`` picks the start method);
-    * ``pool=True`` — a :class:`~repro.parallel.pool.WorkerPool` of
-      persistent workers with heartbeat, per-task timeout and
-      crash-respawn; ``warm_start`` (default on) lets workers restore
-      cached world images instead of rebuilding deployed fleets;
-    * ``worker_pool=...`` — reuse a caller-owned started pool across
-      campaigns, amortizing worker start *and* world builds over a
-      whole sweep (``pool``/``warm_start``/``mp_start`` are ignored).
-
-    ``image_cache`` serves the in-process paths (``workers=1`` or a
-    single shard): sharing one cache across calls warm-starts repeat
-    campaigns without any worker processes at all.
+    * ``worker_pool=...`` — through a caller-owned
+      :class:`~repro.parallel.pool.WorkerPool`, which amortizes worker
+      start *and* world builds over a whole sweep;
+    * one shard (``workers=1`` or a single spec) — inline; sharing one
+      ``image_cache`` across calls warm-starts repeat campaigns without
+      any worker processes at all;
+    * otherwise — through a throwaway ``WorkerPool`` of
+      ``min(workers, shards)`` workers.
     """
     if workers < 1:
         raise ConfigurationError("need at least one worker")
@@ -610,20 +550,10 @@ def run_campaign(
         pool_stats = worker_pool.stats()
     elif workers == 1 or len(specs) == 1:
         results = [run_shard(spec, image_cache=image_cache) for spec in specs]
-    elif pool:
-        from repro.parallel.pool import WorkerPool
-
-        with WorkerPool(
-            workers=min(workers, len(specs)),
-            mp_start=mp_start,
-            warm_start=warm_start,
-        ) as owned_pool:
+    else:
+        with WorkerPool(workers=min(workers, len(specs))) as owned_pool:
             results = owned_pool.run(specs)
             pool_stats = owned_pool.stats()
-    else:
-        context = _pool_context(mp_start)
-        with context.Pool(processes=min(workers, len(specs))) as mp_pool:
-            results = mp_pool.map(run_shard, specs)
     wall = time.perf_counter() - started
 
     merged_report = CampaignReport.merge([result.report for result in results])

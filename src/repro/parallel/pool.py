@@ -1,13 +1,9 @@
 """The persistent worker pool: long-lived shard runners with warm starts.
 
-The spawn-per-shard path (``context.Pool.map`` in
-``repro.parallel.engine``) pays process start-up, interpreter import
-and — for deployed campaigns — a full fleet build + Figure 1 setup +
-settling run *per shard, per campaign*.  On small shards that overhead
-dwarfs the campaign itself, which is how a "parallel" run ends up
-slower than serial (``benchmarks/output/BENCH_parallel.json`` measured
-0.59x at 4 workers on a 1-CPU box).  This pool keeps the workers
-alive instead:
+This is the engine's only way to run shards in more than one process.
+``run_campaign`` opens a throwaway pool for a one-off multi-worker
+campaign; sweeps pass one in (``worker_pool=``) so worker start *and*
+world builds are paid once per sweep instead of once per campaign:
 
 * each worker slot owns a dedicated task queue and a dedicated outbound
   queue (heartbeats + results), so one crashed writer can never corrupt
@@ -25,6 +21,8 @@ alive instead:
   per-task deadline) and **respawns the slot without losing the
   campaign** — outstanding tasks are requeued to the fresh worker, up
   to an attempts cap;
+* a worker that exits with an error before announcing itself failed
+  to start, so the pool raises :class:`PoolError` instead of respawning;
 * Python exceptions raised inside a shard are *propagated*, never
   retried: the worlds are deterministic, so a deterministic failure
   would just fail again.
@@ -32,6 +30,8 @@ alive instead:
 Start method: ``forkserver`` where available (clean template process,
 no inherited locks), else ``fork``, else ``spawn`` — the worker entry
 point imports everything it needs, so all three behave identically.
+The forkserver preloads the engine, so each worker forks with
+``repro`` already imported.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ MAX_TASK_ATTEMPTS = 3
 
 
 class PoolError(RuntimeError):
-    """The pool cannot make progress (task retries exhausted)."""
+    """The pool cannot make progress (start-up failure, retries exhausted)."""
 
 
 class WorkerTaskError(RuntimeError):
@@ -82,17 +82,10 @@ class WorkerTaskError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def preferred_start_method(mp_start: Optional[str] = None) -> str:
-    """``forkserver`` > ``fork`` > ``spawn``, unless *mp_start* pins one."""
+def preferred_start_method() -> str:
+    """``forkserver`` > ``fork`` > ``spawn``, whichever the platform has."""
     methods = multiprocessing.get_all_start_methods()
-    if mp_start is not None:
-        if mp_start not in methods:
-            raise PoolError(f"start method {mp_start!r} unavailable on this platform")
-        return mp_start
-    for method in ("forkserver", "fork", "spawn"):
-        if method in methods:
-            return method
-    return methods[0]  # pragma: no cover - every platform has spawn
+    return next(m for m in ("forkserver", "fork", "spawn") if m in methods)
 
 
 def task_overdue(
@@ -117,7 +110,6 @@ def _worker_main(
     task_queue: Any,
     out_queue: Any,
     heartbeat_interval: float,
-    warm_start: bool,
     cache_entries: int,
 ) -> None:
     """Worker process entry point: loop tasks until :class:`Shutdown`.
@@ -128,7 +120,7 @@ def _worker_main(
     """
     from repro.parallel.engine import run_shard
 
-    cache = WorldImageCache(max_entries=cache_entries) if warm_start else None
+    cache = WorldImageCache(max_entries=cache_entries)
     out_queue.put(WorkerHello(worker=slot, pid=os.getpid()))
 
     stop = threading.Event()
@@ -150,25 +142,20 @@ def _worker_main(
             message = task_queue.get()
             if isinstance(message, Shutdown):
                 return
+            result, error = None, None
             try:
                 result = run_shard(message.spec, image_cache=cache)
-                out_queue.put(
-                    TaskResult(
-                        task_id=message.task_id,
-                        worker=slot,
-                        result=result,
-                        cache=cache.stats() if cache is not None else {},
-                    )
-                )
             except BaseException:
-                out_queue.put(
-                    TaskResult(
-                        task_id=message.task_id,
-                        worker=slot,
-                        error=traceback.format_exc(),
-                        cache=cache.stats() if cache is not None else {},
-                    )
+                error = traceback.format_exc()
+            out_queue.put(
+                TaskResult(
+                    task_id=message.task_id,
+                    worker=slot,
+                    result=result,
+                    error=error,
+                    cache=cache.stats(),
                 )
+            )
     finally:
         stop.set()
 
@@ -185,6 +172,8 @@ class _Slot:
     outstanding: Dict[int, TaskRequest] = field(default_factory=dict)
     busy_since: Optional[float] = None
     last_heartbeat: Optional[float] = None
+    #: the current process has sent its :class:`WorkerHello`
+    hello: bool = False
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
 
@@ -200,8 +189,6 @@ class WorkerPool:
     def __init__(
         self,
         workers: int,
-        mp_start: Optional[str] = None,
-        warm_start: bool = True,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         task_timeout: Optional[float] = None,
         max_task_attempts: int = MAX_TASK_ATTEMPTS,
@@ -211,14 +198,15 @@ class WorkerPool:
         if workers < 1:
             raise PoolError("need at least one worker")
         self.workers = workers
-        self.start_method = preferred_start_method(mp_start)
-        self.warm_start = warm_start
+        self.start_method = preferred_start_method()
         self.heartbeat_interval = heartbeat_interval
         self.task_timeout = task_timeout
         self.max_task_attempts = max_task_attempts
         self.cache_entries = cache_entries
         self._observer = observer
         self._context = multiprocessing.get_context(self.start_method)
+        if self.start_method == "forkserver":
+            self._context.set_forkserver_preload(["repro.parallel.engine"])
         self._slots: List[_Slot] = [_Slot(index=i) for i in range(workers)]
         self._started = False
         self._closed = False
@@ -251,7 +239,8 @@ class WorkerPool:
         self._started = True
 
     def close(self) -> None:
-        """Shut the workers down; joins briefly, then terminates."""
+        """Shut the workers down (join briefly, then terminate) and
+        close their queues, so no feeder thread outlives the pool."""
         if self._closed:
             return
         self._closed = True
@@ -269,6 +258,9 @@ class WorkerPool:
             if slot.process.is_alive():
                 slot.process.terminate()
                 slot.process.join(timeout=1.0)
+            for channel in (slot.task_queue, slot.out_queue):
+                channel.close()
+                channel.join_thread()
 
     def _spawn(self, slot: _Slot) -> None:
         """(Re)create the processes and queues behind one slot."""
@@ -281,12 +273,12 @@ class WorkerPool:
                 slot.task_queue,
                 slot.out_queue,
                 self.heartbeat_interval,
-                self.warm_start,
                 self.cache_entries,
             ),
             daemon=True,
         )
         slot.process.start()
+        slot.hello = False
         slot.busy_since = None
         slot.last_heartbeat = time.monotonic()
 
@@ -371,7 +363,9 @@ class WorkerPool:
                 except (EOFError, OSError):  # pragma: no cover - torn pipe
                     break
                 progressed = True
-                if isinstance(message, Heartbeat) or isinstance(message, WorkerHello):
+                if isinstance(message, WorkerHello):
+                    slot.hello = True
+                if isinstance(message, (Heartbeat, WorkerHello)):
                     slot.last_heartbeat = now
                     continue
                 if isinstance(message, TaskResult):
@@ -406,11 +400,23 @@ class WorkerPool:
     def _check_workers(
         self, attempts: Dict[int, int], results: Dict[int, Any]
     ) -> None:
-        """Respawn any slot that is dead, silent, or past its deadline."""
+        """Respawn any slot that is dead, silent, or past its deadline.
+
+        A worker that exited with an error before its :class:`WorkerHello`
+        never started; a fresh one would fail alike, so that raises.
+        """
         now = time.monotonic()
         stale_after = self.heartbeat_interval * HEARTBEAT_GRACE
         for slot in self._slots:
             dead = slot.process is not None and not slot.process.is_alive()
+            if dead and not slot.hello and slot.process.exitcode > 0:
+                raise PoolError(
+                    f"worker {slot.index} exited with code "
+                    f"{slot.process.exitcode} before it started; likely "
+                    "cause: the calling script has no "
+                    "`if __name__ == \"__main__\":` guard, so every "
+                    f"{self.start_method} worker re-runs it on import"
+                )
             silent = (
                 not dead
                 and slot.outstanding
@@ -488,7 +494,6 @@ class WorkerPool:
         return {
             "workers": self.workers,
             "start_method": self.start_method,
-            "warm_start_enabled": self.warm_start,
             "tasks": self.tasks_completed,
             "warm_starts": self.warm_starts,
             "cold_builds": self.cold_builds,

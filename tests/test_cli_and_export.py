@@ -111,6 +111,14 @@ class TestCli:
         code, out = self.run(["fix", "Philips Hue"], capsys)
         assert code == 0 and "already defeats" in out
 
+    def test_campaign_repeats_warm_start_in_one_pool(self, capsys):
+        code, out = self.run(
+            ["campaign", "--mode", "mass-unbind", "--workers", "2", "--households",
+             "8", "--probes", "16", "--repeat", "2", "--format", "json"], capsys,
+        )
+        pool = json.loads(out)["report"]["pool"]
+        assert code == 0 and (pool["cold_builds"], pool["warm_starts"]) == (2, 2)
+
     def test_unknown_vendor_is_an_error(self, capsys):
         code = main(["audit", "Nonexistent"])
         assert code == 2

@@ -1,8 +1,9 @@
 """The docs lint (tools/check_docs.py) as a tier-1 test.
 
 Every relative link in README.md and docs/*.md must resolve, and every
-``repro`` CLI subcommand the docs mention must exist in
-``repro.cli.build_parser`` — so the docs cannot drift from the code.
+``repro`` CLI subcommand the docs mention, and every ``--flag`` they
+pass it, must exist in ``repro.cli.build_parser`` — so the docs cannot
+drift from the code.
 """
 
 import pathlib
@@ -38,17 +39,26 @@ def test_lint_catches_a_broken_link(tmp_path):
 def test_lint_catches_a_phantom_cli_command(tmp_path):
     page = tmp_path / "page.md"
     page.write_text("run `repro frobnicate` to fix it\n", encoding="utf-8")
-    errors = check_docs.check_cli_mentions(page, {"campaign", "detect"})
+    errors = check_docs.check_cli_mentions(page, {"campaign": set()})
     assert len(errors) == 1
     assert "frobnicate" in errors[0]
+
+
+def test_lint_catches_an_unknown_flag_across_continuations(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text("python -m repro campaign --workers 2 \\\n  --pool > out\n")
+    errors = check_docs.check_cli_mentions(page, check_docs.cli_options())
+    assert len(errors) == 1
+    assert "page.md:1: docs pass '--pool' to 'repro campaign'" in errors[0]
 
 
 def test_lint_accepts_known_commands_and_external_links(tmp_path):
     page = tmp_path / "page.md"
     page.write_text(
-        "run `python -m repro campaign --pool` and see "
+        "run `python -m repro campaign --workers 2 --repeat 3` and see "
         "[the paper](https://example.com/paper.pdf)\n",
         encoding="utf-8",
     )
     assert check_docs.check_links(page) == []
-    assert check_docs.check_cli_mentions(page, {"campaign"}) == []
+    known = {"campaign": {"--workers", "--repeat"}}
+    assert check_docs.check_cli_mentions(page, known) == []

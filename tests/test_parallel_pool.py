@@ -1,8 +1,8 @@
 """Persistent worker pool + snapshot warm-start.
 
 The load-bearing guarantee: every execution strategy — serial
-in-process, spawn-per-shard, persistent pool, warm-started worlds,
-crash-respawned workers — produces *bit-identical* campaign results:
+in-process, worker pool, warm-started worlds, crash-respawned
+workers — produces *bit-identical* campaign results:
 reports, metric snapshots, audit trails, forensic timelines, state
 counts.  The pool is an engine concern; it must never leak into what
 the campaigns measure.
@@ -10,6 +10,9 @@ the campaigns measure.
 
 import os
 import pickle
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -286,30 +289,23 @@ class TestPoolEquality:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pooled_matches_serial(self, workers):
         serial = self.run()
-        pooled = self.run(workers=workers, pool=True)
+        pooled = self.run(workers=workers)
         assert self.comparable(pooled) == self.comparable(serial)
         assert self.shard_payloads(pooled) == self.shard_payloads(serial)
         assert pooled.pool_stats is not None
         assert pooled.pool_stats["tasks"] == 2
 
-    def test_pooled_without_warm_start_matches_serial(self):
-        serial = self.run()
-        pooled = self.run(workers=2, pool=True, warm_start=False)
-        assert self.comparable(pooled) == self.comparable(serial)
-        assert pooled.pool_stats["warm_starts"] == 0
-        assert pooled.pool_stats["cold_builds"] == 2
-
     def test_pooled_chaos_matches_serial_chaos(self):
         chaos = ChaosSpec(plan="lossy-lan", intensity=0.5)
         serial = self.run(chaos=chaos)
-        pooled = self.run(workers=2, pool=True, chaos=chaos)
+        pooled = self.run(workers=2, chaos=chaos)
         assert self.comparable(pooled) == self.comparable(serial)
         # chaos shards never warm-start
         assert all(r.world_source == "cold" for r in pooled.shard_results)
 
     def test_pooled_detection_matches_serial(self):
         serial = self.run(detect=True)
-        pooled = self.run(workers=2, pool=True, detect=True)
+        pooled = self.run(workers=2, detect=True)
         assert serial.detection is not None
         assert pooled.detection == serial.detection
 
@@ -326,7 +322,7 @@ class TestPoolEquality:
         assert all(r.world_source == "warm" for r in second.shard_results)
 
     def test_pool_stats_stay_out_of_default_dict(self):
-        pooled = self.run(workers=2, pool=True)
+        pooled = self.run(workers=2)
         assert "pool" not in pooled.to_dict()
         with_pool = pooled.to_dict(include_pool=True)
         assert with_pool["pool"]["tasks"] == 2
@@ -368,13 +364,20 @@ class TestPoolEquality:
         ]
 
     def test_detection_harness_warm_equals_cold(self):
+        from repro.obs.detect.harness import ATTACK_CAMPAIGNS
+
         design = vendor("OZWI")
         kwargs = dict(households=4, max_probes=12, workers=1, seed=1)
-        cold = run_detection(design, warm_start=False, **kwargs)
-        warm = run_detection(design, warm_start=True, **kwargs)
-        for attack_id in cold:
-            assert cold[attack_id].to_dict() == warm[attack_id].to_dict()
-            assert cold[attack_id].detection == warm[attack_id].detection
+        warm = run_detection(design, **kwargs)
+        # A3 and A4 restore the image A1 captured; A2 builds cold.
+        assert [r.world_source for r in warm["A4"].shard_results] == ["warm"]
+        for attack_id, result in warm.items():
+            cold = run_campaign(
+                design, campaign=ATTACK_CAMPAIGNS[attack_id],
+                trace_messages=False, detect=True, **kwargs,
+            )
+            assert result.to_dict() == cold.to_dict()
+            assert result.detection == cold.detection
 
 
 class TestPoolRobustness:
@@ -438,10 +441,39 @@ class TestPoolRobustness:
         assert task_overdue(10.0, 16.0, 5.0)
 
     def test_preferred_start_method(self):
-        method = preferred_start_method(None)
-        assert method in ("forkserver", "fork", "spawn")
-        with pytest.raises(PoolError):
-            preferred_start_method("no-such-start-method")
+        assert preferred_start_method() in ("forkserver", "fork", "spawn")
+
+    def test_close_leaves_no_queue_feeder_thread(self):
+        def feeders():
+            return {t for t in threading.enumerate() if t.name == "QueueFeederThread"}
+
+        before = feeders()
+        pool = WorkerPool(workers=2)
+        pool.run(self.specs())
+        pool.close()
+        assert feeders() <= before
+
+    def test_worker_that_fails_to_start_raises_without_respawn(self, tmp_path):
+        # No __main__ guard: the worker re-runs the script on import,
+        # cannot start a process of its own there, and exits with code 1.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro.parallel import PoolError, WorkerPool, build_shard_specs\n"
+            "from repro.vendors import vendor\n"
+            "pool = WorkerPool(workers=1)\n"
+            "try:\n"
+            "    pool.run(build_shard_specs(vendor('OZWI'), households=2))\n"
+            "except PoolError:\n"
+            "    print(f'respawns={pool.respawns}')\n"
+            "    raise\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), timeout=120,
+        )
+        assert done.returncode == 1 and "respawns=0" in done.stdout
+        assert "PoolError: worker 0 exited with code 1 before it started" in done.stderr
+        assert 'if __name__ == "__main__":' in done.stderr
 
     def test_pool_rejects_zero_workers(self):
         with pytest.raises(PoolError):

@@ -86,7 +86,7 @@ def pooled_result(design, seed, workers):
     """Merged result dict from a sharded mass-unbind campaign (2 shards)."""
     result = run_campaign(
         design, campaign="mass-unbind", households=6, max_probes=24,
-        workers=workers, shards=2, seed=seed, pool=workers > 1,
+        workers=workers, shards=2, seed=seed,
     )
     return result.to_dict()
 

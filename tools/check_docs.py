@@ -1,4 +1,4 @@
-"""Docs lint: every link resolves, every named CLI command exists.
+"""Docs lint: every link resolves, every named CLI command and flag exists.
 
 Two checks over ``README.md`` and ``docs/*.md``:
 
@@ -8,8 +8,10 @@ Two checks over ``README.md`` and ``docs/*.md``:
   checked for the file part);
 * every ``repro`` CLI subcommand the docs mention — ``python -m repro
   <sub>`` or inline ``repro <sub>`` code spans — must be a real
-  subcommand of :func:`repro.cli.build_parser`, so the docs can never
-  advertise a command the CLI does not have.
+  subcommand of :func:`repro.cli.build_parser`, and every ``--flag``
+  that follows it in the same command (across ``\\`` line
+  continuations) must be one of that subcommand's options, so the docs
+  can never advertise a command or a flag the CLI does not have.
 
 Run directly (``python tools/check_docs.py``) or via the tier-1 suite
 (``tests/test_docs.py``); CI runs both.  Exit code 0 = clean.
@@ -21,18 +23,27 @@ import argparse
 import pathlib
 import re
 import sys
-from typing import List
+from typing import Dict, List
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: [text](target) — excluding images; target captured up to ) or space
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 
-#: ``python -m repro <sub>`` in any code block or prose
-_MODULE_CMD = re.compile(r"python(?:3)?\s+-m\s+repro\s+([a-z][a-z0-9-]*)")
+#: the rest of one command: up to the end of its line (a trailing ``\``
+#: continues it), code span, pipe, redirect, ``;``/``&&`` or comment
+_ARGS = r"((?:[^`|;&>#\\\n]|\\\n?)*)"
 
-#: inline code spans like ``repro campaign --pool`` or `repro detect`
-_INLINE_CMD = re.compile(r"`+\s*repro\s+([a-z][a-z0-9-]*)")
+#: ``python -m repro <sub> [args]`` in any code block or prose
+_MODULE_CMD = re.compile(
+    r"python(?:3)?[ \t]+-m[ \t]+repro[ \t]+([a-z][a-z0-9-]*)" + _ARGS
+)
+
+#: inline code spans like ``repro campaign --workers 4`` or `repro detect`
+_INLINE_CMD = re.compile(r"`+[ \t]*repro[ \t]+([a-z][a-z0-9-]*)" + _ARGS)
+
+#: a long option such as ``--workers``
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def doc_files() -> List[pathlib.Path]:
@@ -41,15 +52,27 @@ def doc_files() -> List[pathlib.Path]:
     return [path for path in files if path.exists()]
 
 
-def cli_subcommands() -> set:
+def _subparsers(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return dict(action.choices)
+    return {}
+
+
+def _flags(parser: argparse.ArgumentParser) -> set:
+    """The option strings *parser* and its nested subcommands accept."""
+    flags = set(parser._option_string_actions)
+    for child in _subparsers(parser).values():
+        flags |= _flags(child)
+    return flags
+
+
+def cli_options() -> Dict[str, set]:
+    """Each ``repro`` subcommand -> the option strings it accepts."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.cli import build_parser
 
-    parser = build_parser()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
-    raise AssertionError("repro.cli.build_parser grew no subparsers?")
+    return {name: _flags(sub) for name, sub in _subparsers(build_parser()).items()}
 
 
 def _display(path: pathlib.Path) -> str:
@@ -65,37 +88,38 @@ def check_links(path: pathlib.Path) -> List[str]:
         for target in _LINK.findall(line):
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
-            file_part = target.split("#", 1)[0]
-            if not file_part:
-                continue
-            resolved = (path.parent / file_part).resolve()
+            resolved = (path.parent / target.split("#", 1)[0]).resolve()
             if not resolved.exists():
-                errors.append(
-                    f"{_display(path)}:{number}: broken link "
-                    f"-> {target}"
-                )
+                errors.append(f"{_display(path)}:{number}: broken link -> {target}")
     return errors
 
 
-def check_cli_mentions(path: pathlib.Path, subcommands: set) -> List[str]:
+def check_cli_mentions(path: pathlib.Path, options: Dict[str, set]) -> List[str]:
+    """Phantom subcommands and unknown flags; *options* as from :func:`cli_options`."""
+    text = path.read_text(encoding="utf-8")
     errors = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        mentioned = set(_MODULE_CMD.findall(line)) | set(_INLINE_CMD.findall(line))
-        for name in mentioned - subcommands:
+    for match in [*_MODULE_CMD.finditer(text), *_INLINE_CMD.finditer(text)]:
+        name, args = match.groups()
+        where = f"{_display(path)}:{text.count(chr(10), 0, match.start()) + 1}"
+        if name not in options:
             errors.append(
-                f"{_display(path)}:{number}: docs name a "
-                f"'repro {name}' subcommand the CLI does not have "
-                f"(known: {', '.join(sorted(subcommands))})"
+                f"{where}: docs name a 'repro {name}' subcommand the CLI "
+                f"does not have (known: {', '.join(sorted(options))})"
             )
+            continue
+        errors.extend(
+            f"{where}: docs pass '{flag}' to 'repro {name}', which has no such option"
+            for flag in _FLAG.findall(args) if flag not in options[name]
+        )
     return errors
 
 
 def run_checks() -> List[str]:
-    subcommands = cli_subcommands()
+    options = cli_options()
     errors: List[str] = []
     for path in doc_files():
         errors.extend(check_links(path))
-        errors.extend(check_cli_mentions(path, subcommands))
+        errors.extend(check_cli_mentions(path, options))
     return errors
 
 
