@@ -532,6 +532,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
     from repro.cloud.persistence import snapshot_json
     from repro.cloud.service import CloudService
     from repro.cloud.state import migrate_snapshot, snapshot_store_counts
+    from repro.core.errors import ConfigurationError
     from repro.fleet import FleetDeployment
     from repro.net.network import Network
     from repro.sim.environment import Environment
@@ -553,7 +554,12 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
         )
 
     with open(args.path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError or undecodable bytes
+            raise ConfigurationError(
+                f"{args.path} is not a JSON snapshot: {exc}"
+            ) from None
 
     if args.action == "inspect":
         migrated = migrate_snapshot(data)

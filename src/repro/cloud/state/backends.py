@@ -4,11 +4,13 @@ A backend is the durability medium behind the unified state layer.  It
 receives one JSON-able entry per durable store mutation (full-record
 upserts and key deletes, see
 :class:`~repro.cloud.state.protocol.RecordStoreBase`) and can replay
-them later.  Two implementations:
+them later.  Both implementations keep each entry *encoded* — one JSON
+string per append — and decode only on replay, so a long-lived journal
+costs its encoded bytes rather than a heap of live dicts the cyclic
+garbage collector has to walk:
 
-* :class:`MemoryBackend` — the current-default dict/list behaviour:
-  entries accumulate in process memory.  Cheap, no encoding, gone on
-  process exit — exactly what an uninstrumented simulation wants.
+* :class:`MemoryBackend` — the default: encoded entries accumulate in a
+  process-memory list, gone on process exit.
 * :class:`JournalBackend` — an append-only JSON-lines write-ahead log
   (one entry per line, ``sort_keys`` canonical form), optionally backed
   by a file.  It supports *fault injection* — a torn final write via
@@ -17,13 +19,16 @@ them later.  Two implementations:
   partial tail is detected, counted and skipped, while corruption
   anywhere else is an error.  ``repro.cloud.state.journal`` rebuilds a
   whole cloud from the surviving prefix.
+
+:meth:`StateBackend.replay` is lazy: recovery applies one decoded
+entry at a time and never holds the whole decoded history.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.cloud.state.protocol import Record
 from repro.core.errors import ConfigurationError, SimulationError
@@ -40,16 +45,28 @@ class StateBackend:
         """Durably record one journal entry."""
         raise NotImplementedError
 
-    def entries(self) -> List[Record]:
-        """Replay every decodable entry, oldest first."""
+    def replay(self) -> Iterator[Record]:
+        """Decode every decodable entry, one at a time, oldest first."""
         raise NotImplementedError
+
+    def verify(self) -> None:
+        """Raise :class:`ConfigurationError` if :meth:`replay` would.
+
+        Recovery calls this before it replaces the live cloud, so a
+        corrupt journal leaves the network untouched.  Entries this
+        process encoded itself always decode: the default checks nothing.
+        """
+
+    def entries(self) -> List[Record]:
+        """Replay every decodable entry into a list, oldest first."""
+        return list(self.replay())
 
     def entry_count(self) -> int:
         """How many entries :meth:`entries` would return."""
-        return len(self.entries())
+        return sum(1 for _ in self.replay())
 
     def size_bytes(self) -> int:
-        """Encoded size of the backend's contents (0 when unencoded)."""
+        """Encoded size of the backend's contents (0 when not reported)."""
         return 0
 
     def clear(self) -> None:
@@ -58,33 +75,33 @@ class StateBackend:
 
 
 class MemoryBackend(StateBackend):
-    """Entries kept as live dicts in a list — the in-memory default."""
+    """Entries kept as encoded JSON strings in a list — the default."""
 
     def __init__(self) -> None:
-        self._entries: List[Record] = []
+        self._lines: List[str] = []
 
     def append(self, entry: Record) -> None:
-        """Store a defensive JSON-roundtrip copy of *entry*."""
-        self._entries.append(json.loads(json.dumps(entry)))
+        """Encode *entry* once; no later mutation of it reaches the string."""
+        self._lines.append(json.dumps(entry))
 
-    def entries(self) -> List[Record]:
-        """A shallow copy of the recorded entries, oldest first."""
-        return list(self._entries)
+    def replay(self) -> Iterator[Record]:
+        """Decode the recorded entries lazily, oldest first."""
+        return map(json.loads, self._lines)
 
     def entry_count(self) -> int:
         """Number of recorded entries (no decoding needed)."""
-        return len(self._entries)
+        return len(self._lines)
 
     def clear(self) -> None:
         """Forget everything."""
-        self._entries = []
+        self._lines = []
 
 
 class JournalBackend(StateBackend):
     """Append-only JSON-lines WAL with crash fault injection.
 
-    With ``path=None`` the journal lives in an in-process text buffer
-    (handy for tests and benchmarks); with a path every append is
+    With ``path=None`` the journal lives in an in-process list of lines
+    (handy for tests and benchmarks); with a path every append is also
     written through to the file, so a *new* :class:`JournalBackend` on
     the same path models a post-crash process recovering from disk.
 
@@ -95,11 +112,11 @@ class JournalBackend(StateBackend):
     * :meth:`crash_mid_write` — retroactively tear the final line, as a
       power cut mid-``write()`` would.
 
-    Replay (:meth:`entries`) decodes line by line.  An undecodable
-    *final* line is the torn tail: it is dropped, and
-    :attr:`torn_tail` / :attr:`dropped_bytes` report the damage.  An
-    undecodable line anywhere earlier means real corruption and raises
-    :class:`~repro.core.errors.ConfigurationError`.
+    Replay (:meth:`replay`) decodes line by line.  An undecodable
+    *final* line is the torn tail: it is dropped, and once the replay
+    is exhausted :attr:`torn_tail` / :attr:`dropped_bytes` report the
+    damage.  An undecodable line anywhere earlier means real corruption
+    and raises :class:`~repro.core.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -108,20 +125,28 @@ class JournalBackend(StateBackend):
         self.path = path
         self.fail_after_appends = fail_after_appends
         self._appends = 0
-        self._buffer = ""
-        #: Set by the latest :meth:`entries` call: was a torn tail seen?
+        #: the journal's lines, each ending in ``"\n"`` but a torn last one
+        self._lines: List[str] = []
+        #: Set by the latest replay: was a torn tail seen?
         self.torn_tail = False
         #: Bytes discarded from the torn tail by the latest replay.
         self.dropped_bytes = 0
         if path is not None and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as handle:
-                self._buffer = handle.read()
+                parts = handle.read().split("\n")
+            self._lines = [part + "\n" for part in parts[:-1]]
+            if parts[-1]:
+                self._lines.append(parts[-1])
 
     # -- writing ------------------------------------------------------------
 
     def _write_through(self, text: str) -> None:
-        """Append raw *text* to the buffer (and the backing file)."""
-        self._buffer += text
+        """Append raw *text* to the lines (and the backing file)."""
+        lines = self._lines
+        if lines and not lines[-1].endswith("\n"):
+            lines[-1] += text  # the medium continues an unterminated line
+        else:
+            lines.append(text)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(text)
@@ -151,49 +176,57 @@ class JournalBackend(StateBackend):
         line's bytes survive, exactly as if the process had died while
         the final ``write()`` was in flight.
         """
-        if not self._buffer:
+        if not self._lines:
             return
-        body = self._buffer[:-1] if self._buffer.endswith("\n") else self._buffer
-        cut = body.rfind("\n") + 1  # start of the final line
-        last_line = self._buffer[cut:]
+        last_line = self._lines.pop()
         kept = last_line[: max(1, int(len(last_line) * keep_fraction))]
         if kept.endswith("\n"):
             kept = kept[:-1]
-        self._buffer = self._buffer[:cut] + kept
+        if kept:
+            self._lines.append(kept)
         if self.path is not None:
             with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(self._buffer)
+                handle.writelines(self._lines)
 
     # -- reading ------------------------------------------------------------
 
-    def entries(self) -> List[Record]:
-        """Decode every line; tolerate (and account for) a torn tail."""
+    def replay(self) -> Iterator[Record]:
+        """Decode line by line; tolerate (and account for) a torn tail."""
         self.torn_tail = False
         self.dropped_bytes = 0
-        decoded: List[Record] = []
-        lines = self._buffer.split("\n")
+        lines = self._lines
+        # The final line is the tail; so is the line before an
+        # unterminated final fragment.
+        tail = len(lines) - 1
+        if lines and not lines[-1].endswith("\n"):
+            tail -= 1
         for index, line in enumerate(lines):
-            if not line:
+            if line == "\n":
                 continue
             try:
-                decoded.append(json.loads(line))
+                entry = json.loads(line)
             except ValueError:
-                if index >= len(lines) - 2:  # final (possibly unterminated) line
+                if index >= tail:
                     self.torn_tail = True
-                    self.dropped_bytes = len(line.encode("utf-8"))
-                    break
+                    self.dropped_bytes = len(line.rstrip("\n").encode("utf-8"))
+                    return
                 raise ConfigurationError(
                     f"journal corrupt at line {index + 1} (not at the tail)"
                 )
-        return decoded
+            yield entry
+
+    def verify(self) -> None:
+        """Decode every line once, discarding the entries."""
+        for _ in self.replay():
+            pass
 
     def size_bytes(self) -> int:
         """Encoded journal size in bytes."""
-        return len(self._buffer.encode("utf-8"))
+        return sum(len(line.encode("utf-8")) for line in self._lines)
 
     def clear(self) -> None:
-        """Truncate the journal (buffer and backing file)."""
-        self._buffer = ""
+        """Truncate the journal (lines and backing file)."""
+        self._lines = []
         self._appends = 0
         if self.path is not None and os.path.exists(self.path):
             with open(self.path, "w", encoding="utf-8"):

@@ -10,7 +10,7 @@ snapshot is.
 
 Recovery (:func:`recover_from_journal`) is replay-based: build a fresh
 :class:`~repro.cloud.service.CloudService` through its constructor,
-apply every surviving entry to the named store (upserts and deletes),
+stream every surviving entry into the named store (upserts and deletes),
 rebuild the shadow projection (offline, like any restart) and only then
 re-attach the journal so post-recovery mutations keep appending.  A
 torn tail — the injected mid-write crash — is skipped by the backend's
@@ -80,21 +80,23 @@ def recover_from_journal(
 ) -> JournalRecovery:
     """Rebuild a cloud from a journal's surviving prefix.
 
-    Constructs the service normally (constructor-based, no ``__new__``
-    tricks), replays every decodable entry, rebuilds shadows offline,
-    and re-attaches *backend* so the recovered cloud keeps journaling.
+    Checks the journal first (:meth:`StateBackend.verify`), so a corrupt
+    one raises before the network is touched.  Then constructs the
+    service normally (constructor-based, no ``__new__`` tricks), streams
+    every decodable entry from :meth:`StateBackend.replay` into its
+    store without holding the decoded history, rebuilds shadows
+    offline, and re-attaches *backend* so the recovered cloud keeps
+    journaling.
     """
     from repro.cloud.service import CloudService
 
-    entries = backend.entries()
-    torn_tail = bool(getattr(backend, "torn_tail", False))
-    dropped_bytes = int(getattr(backend, "dropped_bytes", 0))
+    backend.verify()
     if network.has_node(node_name):
         network.remove_node(node_name)
     cloud = CloudService(env, network, design, node_name, public_ip)
     stores = cloud.state_stores()
     applied = discarded = 0
-    for entry in entries:
+    for entry in backend.replay():
         store_name = entry.get("store")
         if store_name == META_STORE:
             if entry.get("design") != design.name:
@@ -121,6 +123,6 @@ def recover_from_journal(
         cloud=cloud,
         entries_applied=applied,
         entries_discarded=discarded,
-        torn_tail=torn_tail,
-        dropped_bytes=dropped_bytes,
+        torn_tail=bool(getattr(backend, "torn_tail", False)),
+        dropped_bytes=int(getattr(backend, "dropped_bytes", 0)),
     )

@@ -123,6 +123,16 @@ class TestCli:
         code = main(["audit", "Nonexistent"])
         assert code == 2
 
+    @pytest.mark.parametrize("action", ["load", "inspect"])
+    def test_non_json_snapshot_is_an_error(self, action, tmp_path, capsys):
+        path = tmp_path / "not-a-snapshot.json"
+        path.write_text("not json {")
+        code = main(["snapshot", action, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

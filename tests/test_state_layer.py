@@ -7,6 +7,7 @@ equality — plus unit coverage of the record primitives and backends.
 """
 
 import json
+import time
 
 import pytest
 
@@ -338,6 +339,45 @@ class TestJournalBackend:
         with pytest.raises(ConfigurationError):
             backend.entries()
 
+    @pytest.mark.parametrize("backend_type", [MemoryBackend, JournalBackend])
+    def test_appended_entries_are_isolated_from_later_mutation(self, backend_type):
+        backend = backend_type()
+        record = {"k": 1, "tags": ["a"]}
+        entry = {"store": "x", "op": "put", "record": record}
+        backend.append(entry)
+        record["k"] = 2
+        record["tags"].append("b")
+        entry["op"] = "del"
+        original = [{"store": "x", "op": "put", "record": {"k": 1, "tags": ["a"]}}]
+        replayed = backend.entries()
+        assert replayed == original
+        replayed[0]["record"]["k"] = 3
+        next(backend.replay())["record"]["tags"].clear()
+        assert backend.entries() == original
+
+    def test_many_appends_stay_linear(self):
+        # A journal that re-copies its whole contents on every append
+        # needs minutes for this; one list entry per line, well under 1 s.
+        backend = JournalBackend()
+        entry = {"store": "bindings", "op": "put", "record": {"k": "x" * 200}}
+        started = time.perf_counter()
+        for _ in range(50_000):
+            backend.append(entry)
+        assert time.perf_counter() - started < 5.0
+        assert backend.entry_count() == len(backend.entries()) == 50_000
+
+    def test_append_after_a_torn_tail_continues_that_line(self):
+        # The medium has no line boundary after a torn write, so the next
+        # append lands on the same line: the damage moves off the tail.
+        backend = JournalBackend()
+        for i in range(2):
+            backend.append({"store": "x", "op": "put", "record": {"k": i}})
+        backend.crash_mid_write()
+        backend.append({"store": "x", "op": "put", "record": {"k": 2}})
+        backend.append({"store": "x", "op": "put", "record": {"k": 3}})
+        with pytest.raises(ConfigurationError, match="line 2"):
+            backend.entries()
+
     def test_file_backed_journal_survives_a_new_process(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         first = JournalBackend(path)
@@ -451,6 +491,62 @@ class TestJournaledRestart:
         before = backend.entry_count()
         recovery.cloud.relay.set_schedule("any-device", {"on": "08:00"})
         assert backend.entry_count() == before + 1
+
+    def test_recovery_streams_without_materializing_entries(self):
+        class StreamOnly(MemoryBackend):
+            def entries(self):
+                raise AssertionError("recovery materialized the entry list")
+
+        world = Deployment(vendor("D-LINK"), seed=81)
+        backend = StreamOnly()
+        attach_checkpointed_journal(world, backend)
+        assert world.victim_full_setup()
+        expected = stores_json(build_snapshot(world.cloud))
+        world.cloud.shutdown()
+
+        recovery = recover_from_journal(
+            world.env, world.network, world.design, backend
+        )
+        assert recovery.torn_tail is False
+        assert recovery.entries_applied > 0
+        assert stores_json(build_snapshot(recovery.cloud)) == expected
+
+    def test_recovery_ignores_mutations_of_replayed_entries(self):
+        world = Deployment(vendor("D-LINK"), seed=81)
+        backend = MemoryBackend()
+        attach_checkpointed_journal(world, backend)
+        assert world.victim_full_setup()
+        expected = stores_json(build_snapshot(world.cloud))
+        for entry in backend.entries():
+            if entry["op"] == "put":
+                entry["record"].clear()
+        world.cloud.shutdown()
+
+        recovery = recover_from_journal(
+            world.env, world.network, world.design, backend
+        )
+        assert stores_json(build_snapshot(recovery.cloud)) == expected
+
+    def test_mid_journal_corruption_leaves_the_network_alone(
+        self, tmp_path, monkeypatch
+    ):
+        world = Deployment(vendor("D-LINK"), seed=81)
+        path = tmp_path / "journal.jsonl"
+        attach_checkpointed_journal(world, JournalBackend(str(path)))
+        assert world.victim_full_setup()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2] = "{corrupt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        removed = []
+        monkeypatch.setattr(world.network, "remove_node", removed.append)
+
+        with pytest.raises(ConfigurationError, match="line 3"):
+            recover_from_journal(
+                world.env, world.network, world.design, JournalBackend(str(path))
+            )
+        assert removed == []
+        # the live cloud still serves its victim
+        assert world.victim_can_control()
 
     def test_journal_for_another_design_is_rejected(self):
         env = Environment(seed=1)
