@@ -107,14 +107,20 @@ class AuditLog:
         outcome: str = "ok",
         detail: str = "",
         trace_id: str = "",
+        request: Optional[Any] = None,
     ) -> None:
-        """Append one entry; forward it to the observer when installed."""
+        """Append one entry; forward it to the observer when installed.
+
+        *request* is the observed request's
+        :class:`~repro.obs.observer.RequestRecord` when this entry
+        records that request's outcome; it rides along to the observer.
+        """
         entry = AuditEntry(
             time, source_node, source_ip, summary, outcome, detail, trace_id
         )
         self.entries.append(entry)
         if self._observer is not None:
-            self._observer.on_audit(entry)
+            self._observer.on_audit(entry, request)
 
     def __len__(self) -> int:
         return len(self.entries)

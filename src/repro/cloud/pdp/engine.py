@@ -11,14 +11,15 @@ loop does no registry lookups; evaluation stops at the first denial
 The decision most recently produced is retained until
 :meth:`take_last_decision` collects it — the service's audit/forensic
 recording step runs *after* dispatch returns and uses this to attach
-the rule trace to the exchange's evidence without threading decisions
-through every handler signature.
+the rule trace (and, when observed, the decision's wall time) to the
+exchange's evidence without threading decisions through every handler
+signature.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.pdp.model import AuthzRequest, Decision, RuleEval
 from repro.cloud.pdp.rules import RULES, EvalContext
@@ -28,7 +29,9 @@ from repro.cloud.pdp.spec import PolicySpec, validate_spec
 class PolicyDecisionPoint:
     """Evaluates one cloud's :class:`PolicySpec` over its live stores."""
 
-    __slots__ = ("service", "spec", "_compiled", "_last")
+    __slots__ = (
+        "service", "spec", "_compiled", "_allow_traces", "_last", "_timed", "last_ns",
+    )
 
     def __init__(self, service: Any, spec: PolicySpec) -> None:
         validate_spec(spec)
@@ -45,24 +48,30 @@ class PolicyDecisionPoint:
             )
             for action, refs in spec.actions.items()
         }
+        #: per action, the rendered trace every allowed decision shares
+        #: (an allow passes every rule, in order); filled when timed
+        self._allow_traces: Dict[str, str] = {}
         self._last: Optional[Decision] = None
+        #: the service's precomputed observed flag, read once
+        self._timed = bool(getattr(service, "_observed", False))
+        #: wall-clock nanoseconds of the most recent decision (timed
+        #: services only)
+        self.last_ns = 0
 
     def decide(self, request: AuthzRequest) -> Decision:
         """Evaluate *request* against its action's rule list, in order.
 
-        On observed runs (the service's precomputed fast-path flag) the
-        evaluation is wall-clock timed and reported through
-        ``Observer.on_pdp_decide`` — authorization-cache hits inside
-        the rule primitives show up as faster evaluations, so the
-        sketch captures the cache's hot-path win directly.  The calm
-        path pays one attribute read and a branch.
+        Each endpoint handler decides its request here once.  On
+        observed services the evaluation is wall-clock timed into
+        :attr:`last_ns`, which the enforcement point copies onto its
+        request record next to the decision — authorization-cache hits
+        inside the rule primitives show up as faster evaluations.  The
+        calm path pays a flag test here and one on each allow.
         """
-        if getattr(self.service, "_observed", False):
+        if self._timed:
             started = perf_counter_ns()
             decision = self._decide(request)
-            self.service._observer.on_pdp_decide(
-                request.action, perf_counter_ns() - started
-            )
+            self.last_ns = perf_counter_ns() - started
             return decision
         return self._decide(request)
 
@@ -85,7 +94,19 @@ class PolicyDecisionPoint:
         return self._finish(Decision(
             True, None, tuple(evaluations),
             tuple(obligations) if obligations else (), ctx.out,
+            self._allow_trace(request.action, evaluations) if self._timed else None,
         ))
+
+    def _allow_trace(self, action: str, evaluations: List[RuleEval]) -> str:
+        """The trace of an allowed *action* decision, rendered once.
+
+        Observed services render every decision's trace for its
+        evidence; allowed ones share one string per action.
+        """
+        trace = self._allow_traces.get(action)
+        if trace is None:
+            trace = self._allow_traces[action] = ">".join(e.render() for e in evaluations)
+        return trace
 
     def take_last_decision(self) -> Optional[Decision]:
         """Collect (and clear) the decision of the most recent request."""

@@ -136,6 +136,7 @@ class Decision:
         evaluations: Tuple[RuleEval, ...],
         obligations: Tuple[Tuple[str, Any], ...] = (),
         context: Optional[Dict[str, Any]] = None,
+        trace: Optional[str] = None,
     ) -> None:
         self.allowed = allowed
         #: the exact exception the enforcement point raises on denial —
@@ -149,7 +150,8 @@ class Decision:
         #: facts resolved while deciding (authenticated user, binding,
         #: owner/grantee flag, rebind-replacement flag, ...)
         self.context = context if context is not None else {}
-        self._trace: Optional[str] = None
+        #: the rendered :meth:`trace`, when the caller already has it
+        self._trace = trace
 
     def trace(self) -> str:
         """The ordered rule trail as one compact string (memoized).

@@ -55,7 +55,7 @@ from repro.identity.tokens import TokenKind, TokenService
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.obs.detect.timeline import ForensicTimeline
-from repro.obs.observer import NULL_OBSERVER
+from repro.obs.observer import NULL_OBSERVER, RequestRecord
 from repro.sim.environment import Environment
 
 #: Message types that land on a device shadow's forensic timeline,
@@ -124,19 +124,19 @@ class CloudService:
         ):
             authz_store.bind_authz_version(self.authz_version)
         self.authz_cache = AuthorizationCache(self.authz_version)
-        # Authorization policy: the design's knobs compiled to ordered
-        # declarative rules, evaluated by one decision point; handlers
-        # are thin enforcement points over its decisions.
-        self.policy_spec = PolicySpec.from_design(design)
-        self.pdp = PolicyDecisionPoint(self, self.policy_spec)
         # Observability: the audit log feeds the observer (one source of
         # truth for message counters/spans) and shadows report Figure 2
         # transitions.  With the null observer installed, both stores
         # keep their fast uninstrumented paths.
         self._observer = env.observer
-        #: precomputed fast-path flag: when False the per-packet
-        #: ``profile()`` context manager is never even allocated
+        #: precomputed fast-path flag: when False no request record is
+        #: built and no clock is read per packet (the PDP reads it too)
         self._observed = self._observer is not NULL_OBSERVER
+        # Authorization policy: the design's knobs compiled to ordered
+        # declarative rules, evaluated by one decision point; handlers
+        # are thin enforcement points over its decisions.
+        self.policy_spec = PolicySpec.from_design(design)
+        self.pdp = PolicyDecisionPoint(self, self.policy_spec)
         instrumented = self._observer if self._observed else None
         self.shadows = ShadowStore(observer=instrumented)
         self.relay = Relay()
@@ -420,44 +420,49 @@ class CloudService:
         owner and claimed actor captured here, where the request's
         before/after states are both visible.
         """
-        # NULL_OBSERVER fast path: skip the profile() context-manager
-        # allocation — and all RED timing below — entirely (precomputed
-        # boolean, not a no-op call).
+        # NULL_OBSERVER fast path: a precomputed boolean, not a no-op
+        # call — the calm path builds no record and reads no clock.
         if self._observed:
-            with self._observer.profile("cloud.handle_packet"):
-                return self._handle_observed(packet)
+            return self._handle_observed(packet)
         return self._handle_and_record(packet)
 
     def _handle_observed(self, packet: Packet) -> Message:
-        """Observed-path dispatch: RED-time the request around handling.
+        """Observed-path dispatch: time the request once, into one record.
 
-        Rejections are requests the cloud *served* (denying an attacker
-        is correct behaviour): they are RED errors keyed by rejection
-        code, not availability failures, so the exception re-raises
-        after recording.
+        The timed region covers dispatch, the audit entry (whose
+        observer hook receives the record, PDP decision included) and
+        forensic recording; the finished record then goes to
+        ``Observer.on_request``.  Rejections are requests the cloud
+        *served* (denying an attacker is correct behaviour): the record
+        carries the rejection code and the exception re-raises.
         """
-        action = _ENDPOINT_ACTIONS.get(type(packet.message))
-        if action is None:
-            return self._handle_and_record(packet)
         trace = packet.trace
-        trace_id = trace.trace_id if trace is not None else ""
-        design = self.design.name
+        record = RequestRecord(
+            self.design.name,
+            _ENDPOINT_ACTIONS.get(type(packet.message), ""),
+            trace.trace_id if trace is not None else "",
+            self.now,
+        )
         started = perf_counter_ns()
         try:
-            response = self._handle_and_record(packet)
+            response = self._handle_and_record(packet, record)
+            record.code = "ok"
+            return response
         except RequestRejected as exc:
-            self._observer.on_request(
-                design, action, exc.code,
-                perf_counter_ns() - started, trace_id, self.now,
-            )
+            record.code = exc.code
             raise
-        self._observer.on_request(
-            design, action, "ok", perf_counter_ns() - started, trace_id, self.now
-        )
-        return response
+        finally:
+            record.duration_ns = perf_counter_ns() - started
+            self._observer.on_request(record)
 
-    def _handle_and_record(self, packet: Packet) -> Message:
-        """Dispatch one packet, auditing and (when watched) evidencing it."""
+    def _handle_and_record(
+        self, packet: Packet, request: Optional[RequestRecord] = None
+    ) -> Message:
+        """Dispatch one packet, auditing and (when watched) evidencing it.
+
+        *request* is the observed path's record; the PDP decision is
+        put on it before the audit entry that it explains.
+        """
         message = packet.message
         trace_id = packet.trace.trace_id if packet.trace is not None else ""
         forensic_kind = _FORENSIC_KINDS.get(type(message))
@@ -471,7 +476,7 @@ class CloudService:
         try:
             response = self._dispatch(packet, message)
         except RequestRejected as exc:
-            decision_trace = self._collect_decision_trace()
+            decision_trace = self._collect_decision_trace(request)
             self.audit.record(
                 self.now,
                 packet.src,
@@ -480,6 +485,7 @@ class CloudService:
                 exc.code,
                 exc.detail,
                 trace_id,
+                request,
             )
             if forensic_kind is not None:
                 self._record_forensic(
@@ -487,13 +493,14 @@ class CloudService:
                     decision_trace=decision_trace,
                 )
             raise
-        decision_trace = self._collect_decision_trace()
+        decision_trace = self._collect_decision_trace(request)
         self.audit.record(
             self.now,
             packet.src,
             str(packet.observed_src_ip),
             describe(message),
             trace_id=trace_id,
+            request=request,
         )
         if forensic_kind is not None:
             replaced = isinstance(response, Response) and bool(
@@ -505,21 +512,23 @@ class CloudService:
             )
         return response
 
-    def _collect_decision_trace(self) -> str:
+    def _collect_decision_trace(self, request: Optional[RequestRecord]) -> str:
         """Collect the PDP's decision for the exchange just dispatched.
 
-        Runs *before* the exchange's audit entry is recorded so a real
-        observer can attach the rule trace to that entry's evidence;
-        returns the compact trace for the forensic event.  The trace
-        string is only rendered when someone is watching — a real
-        observer or a live forensic sink — so uninstrumented runs keep
-        the null-observer fast path.
+        On the observed path the decision and its evaluation time go
+        onto *request*, before the exchange's audit entry is recorded,
+        so the observer can attach the rule trace to that entry's
+        evidence.  Returns the compact trace for the forensic event;
+        it is only rendered when someone is watching — a real observer
+        or a live forensic sink — so uninstrumented runs keep the
+        null-observer fast path.
         """
         decision = self.pdp.take_last_decision()
         if decision is None:
             return ""
-        if self._observed:
-            self._observer.on_authz_decision(decision)
+        if request is not None:
+            request.decision = decision
+            request.pdp_ns = self.pdp.last_ns
         elif not self.forensics.has_sinks():
             return ""
         return decision.trace()

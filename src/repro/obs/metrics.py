@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
+def label_key(labels: Dict[str, Any]) -> LabelKey:
     """Normalise a label dict into a hashable, order-independent key."""
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -30,12 +30,21 @@ class Counter:
 
     def inc(self, n: float = 1, **labels: Any) -> None:
         """Add *n* to the series selected by *labels*."""
-        key = _label_key(labels)
+        key = label_key(labels)
         self._values[key] = self._values.get(key, 0) + n
+
+    def inc_key(self, key: LabelKey, n: float = 1) -> None:
+        """Add *n* to the series under an already normalised label *key*.
+
+        The hot-path form of :meth:`inc` for callers that build each
+        key once with :func:`label_key` and reuse it.
+        """
+        values = self._values
+        values[key] = values.get(key, 0) + n
 
     def value(self, **labels: Any) -> float:
         """Current value of one labelled series (0 if never incremented)."""
-        return self._values.get(_label_key(labels), 0)
+        return self._values.get(label_key(labels), 0)
 
     def total(self) -> float:
         """Sum across every labelled series."""
@@ -113,8 +122,10 @@ class Histogram:
         self.counts[bisect_right(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:

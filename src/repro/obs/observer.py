@@ -17,7 +17,7 @@ a :class:`~repro.obs.tracer.Tracer`, a
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Iterator
+from typing import Any, ContextManager, Iterator, Optional
 
 
 class _NullContext:
@@ -36,14 +36,50 @@ class _NullContext:
 NULL_CONTEXT = _NullContext()
 
 
+class RequestRecord:
+    """Everything an observer learns about one observed cloud request.
+
+    Built once at the enforcement point
+    (``CloudService.handle_packet``) and filled in as the request runs:
+    the PDP's decision and its evaluation time before the audit entry is
+    recorded (:meth:`Observer.on_audit` receives the record), then the
+    outcome code and the request's one wall-clock duration before
+    :meth:`Observer.on_request`.  ``code`` stays ``None`` when an error
+    other than a policy rejection escaped before the request was
+    audited.
+    """
+
+    __slots__ = (
+        "design", "action", "trace_id", "now", "code", "duration_ns",
+        "decision", "pdp_ns",
+    )
+
+    def __init__(self, design: str, action: str, trace_id: str, now: float) -> None:
+        self.design = design
+        #: the PDP action the message type maps to (the RED key)
+        self.action = action
+        self.trace_id = trace_id
+        #: virtual time the request arrived
+        self.now = now
+        #: ``"ok"`` or the rejection code; None when the request errored
+        self.code: Optional[str] = None
+        #: wall-clock nanoseconds across dispatch, audit and forensics
+        self.duration_ns = 0
+        #: the PDP :class:`~repro.cloud.pdp.model.Decision`, if one was made
+        self.decision: Any = None
+        #: wall-clock nanoseconds the PDP spent on that decision
+        self.pdp_ns = 0
+
+
 class Observer:
     """Base observer: every hook is a no-op.
 
     Subclass and override the hooks you care about.  Hook call sites are
     chosen so that the no-op path stays off the per-event hot loop:
 
-    * :meth:`on_audit` — once per cloud request (the request itself does
-      far more work than an empty call);
+    * :meth:`on_audit` / :meth:`on_request` — only reached when a real
+      observer is installed (the cloud's audit log and packet entry
+      point test a precomputed flag);
     * :meth:`on_shadow_transition` — only wired when a real observer is
       installed (see :class:`~repro.cloud.shadows.ShadowStore`);
     * :meth:`on_scheduler_flush` — once per ``run_until`` batch, not per
@@ -87,41 +123,22 @@ class Observer:
 
     # -- domain hooks (called by the instrumented layers) -------------------
 
-    def on_audit(self, entry: Any) -> None:
-        """One cloud audit entry was recorded (request handled or sweep)."""
+    def on_audit(self, entry: Any, request: Optional[RequestRecord] = None) -> None:
+        """One cloud audit entry was recorded (request handled or sweep).
 
-    def on_request(
-        self,
-        design: str,
-        action: str,
-        outcome: str,
-        duration_ns: int,
-        trace_id: str,
-        now: float,
-    ) -> None:
-        """One endpoint request finished (served or policy-rejected).
-
-        The RED record point: *outcome* is ``"ok"`` or the rejection
-        code, *duration_ns* is the wall-clock handler duration, *now*
-        is the virtual timestamp.  Only fired when a real observer is
-        installed — ``CloudService.handle_packet`` guards the call (and
-        the ``perf_counter_ns`` reads around it) behind its precomputed
-        fast-path flag, so uninstrumented runs never reach it.
+        *request* is the observed request whose outcome the entry
+        records, when there is one; sweeps and handler-side revocations
+        pass none.  Fires inside the request's timed region.
         """
 
-    def on_pdp_decide(self, action: str, duration_ns: int) -> None:
-        """The PDP evaluated one request's rule list (cache misses only).
+    def on_request(self, record: RequestRecord) -> None:
+        """One observed endpoint request finished: its one record.
 
-        Same fast-path discipline as :meth:`on_request`: the decision
-        point only times itself when the service is observed.
-        """
-
-    def on_authz_decision(self, decision: Any) -> None:
-        """The cloud's PDP decided one request (a typed ``Decision``).
-
-        Fires after dispatch and *before* the exchange's audit entry is
-        recorded, so implementations can correlate the rule trace with
-        the audit evidence that follows it.
+        Fired once per ``CloudService.handle_packet`` call, after the
+        request's single wall-clock timing, and only when a real
+        observer is installed — the service guards the record and the
+        ``perf_counter_ns`` reads behind its precomputed fast-path flag,
+        so uninstrumented runs never reach it.
         """
 
     def on_shadow_transition(

@@ -14,19 +14,53 @@ the virtual-clock time source to the newest environment.
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Dict, Optional
+from typing import Any, ContextManager, Dict, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import Observer
+from repro.obs.metrics import Counter, LabelKey, MetricsRegistry, label_key
+from repro.obs.observer import Observer, RequestRecord
 from repro.obs.profiler import Profiler
 from repro.obs.slo import RedAccounting, SLOTracker
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Span, Tracer
 
 #: Observer counters that double as SLO bad events: an infrastructure
 #: failure (a chaos drop or timeout) is a request the service failed to
 #: serve, charged against the availability error budget.  Policy
 #: rejections are *not* here — denying an attacker is correct service.
 _SLO_BAD_COUNTERS = {"chaos.drops": "drop", "chaos.timeouts": "timeout"}
+
+
+class ExchangeLeaf(Span):
+    """The exchange span of one audit entry: a zero-duration leaf.
+
+    An observed run keeps one per audited request, so a leaf holds no
+    ``attrs`` dict: it keeps the entry (which the audit log keeps
+    anyway) and the rule trace of the request's decision, and builds
+    ``attrs`` when read.  The trace id is the causal chain id the packet
+    brought in, so per-process span trees can be joined into end-to-end
+    chains; the rule trace explains the outcome code.
+    """
+
+    __slots__ = ("entry", "authz")
+
+    def __init__(self, entry: Any, authz: str) -> None:
+        self.name = entry.summary
+        self.kind = "exchange"
+        self.outcome = "ok"
+        self.children = ()
+        self.wall_ns = 0
+        self.entry = entry
+        self.authz = authz
+
+    @property
+    def attrs(self) -> Dict[str, Any]:
+        """``source`` and ``outcome``, plus ``trace`` and ``authz`` if set."""
+        entry = self.entry
+        attrs = {"source": entry.source_node, "outcome": entry.outcome}
+        if entry.trace_id:
+            attrs["trace"] = entry.trace_id
+        if self.authz:
+            attrs["authz"] = self.authz
+        return attrs
 
 
 class Observability(Observer):
@@ -43,14 +77,19 @@ class Observability(Observer):
         self.profiler = Profiler()
         #: RED series (rate, errors, duration sketch) per (design, action)
         self.red = RedAccounting()
-        #: PDP decide timings per ("pdp", action); cache misses only
+        #: PDP decide timings per ("pdp", action): one per observed
+        #: request the PDP decided (every handler decides exactly once)
         self.pdp_red = RedAccounting()
         #: the availability series behind SLO/burn-rate evaluation
         self.slo = SLOTracker()
         self.trace_messages = trace_messages
         self._env: Optional[Any] = None
-        #: rule trace of the decision awaiting its exchange's audit entry
-        self._pending_authz: str = ""
+        #: the audit instruments, resolved against ``_audit_registry``:
+        #: the entries counter, and per (summary, outcome) the label key
+        #: plus the ok-or-rejected counter
+        self._audit_registry: Optional[MetricsRegistry] = None
+        self._audit_entries: Optional[Counter] = None
+        self._audit_keys: Dict[Tuple[str, str], Tuple[LabelKey, Counter]] = {}
 
     # -- Observer protocol ---------------------------------------------------
 
@@ -90,61 +129,59 @@ class Observability(Observer):
 
     # -- domain hooks --------------------------------------------------------
 
-    def on_audit(self, entry: Any) -> None:
-        """Fold one audit entry into message counters (+ exchange leaf)."""
-        counter = self.metrics.counter(
-            "cloud.audit.entries", help="audit entries by (summary, outcome)"
-        )
-        counter.inc(summary=entry.summary, outcome=entry.outcome)
-        if entry.outcome == "ok":
-            self.metrics.counter("cloud.audit.ok").inc()
-        else:
-            self.metrics.counter("cloud.audit.rejected").inc()
-        if self.trace_messages:
-            attrs = {"source": entry.source_node, "outcome": entry.outcome}
-            trace_id = getattr(entry, "trace_id", "")
-            if trace_id:
-                # Cross-node correlation: the exchange leaf carries the
-                # causal chain id the packet brought in, so per-process
-                # span trees can be joined into end-to-end chains.
-                attrs["trace"] = trace_id
-            if self._pending_authz:
-                # The PDP decided this exchange just before the entry was
-                # recorded; the rule trace explains the outcome code.
-                attrs["authz"] = self._pending_authz
-                self._pending_authz = ""
-            self.tracer.event(entry.summary, **attrs)
+    def on_audit(self, entry: Any, request: Optional[RequestRecord] = None) -> None:
+        """Fold one audit entry into message counters (+ exchange leaf).
 
-    def on_request(
-        self,
-        design: str,
-        action: str,
-        outcome: str,
-        duration_ns: int,
-        trace_id: str,
-        now: float,
-    ) -> None:
-        """Fold one finished endpoint request into RED + SLO accounting.
+        Runs inside an observed request's timed region.  Label keys and
+        counters are resolved once per (summary, outcome); the leaf's
+        ``authz`` attribute is the rule trace of *request*'s decision,
+        which explains the outcome code.  The PDP's decision time feeds
+        the ``pdp`` RED series here too.
+        """
+        metrics = self.metrics
+        if metrics is not self._audit_registry:
+            # First entry, or a warm restore replaced the registry.
+            self._audit_registry = metrics
+            self._audit_entries = metrics.counter(
+                "cloud.audit.entries", help="audit entries by (summary, outcome)"
+            )
+            self._audit_keys = {}
+        pair = (entry.summary, entry.outcome)
+        resolved = self._audit_keys.get(pair)
+        if resolved is None:
+            verdict = "cloud.audit.ok" if entry.outcome == "ok" else "cloud.audit.rejected"
+            resolved = self._audit_keys[pair] = (
+                label_key({"summary": entry.summary, "outcome": entry.outcome}),
+                metrics.counter(verdict),
+            )
+        key, verdict_counter = resolved
+        self._audit_entries.inc_key(key)
+        verdict_counter.inc_key(())
+        decision = request.decision if request is not None else None
+        if decision is not None:
+            self.pdp_red.record("pdp", request.action, "ok", request.pdp_ns / 1000.0)
+        if self.trace_messages:
+            self.tracer.add_leaf(
+                ExchangeLeaf(entry, decision.trace() if decision is not None else "")
+            )
+
+    def on_request(self, record: RequestRecord) -> None:
+        """Fold one finished request record into profile, RED and SLO.
 
         Deliberately registry-free: RED sketches hold wall-clock
         durations and live beside the metrics registry, so instrumented
-        runs keep their pinned metric fingerprints byte-identical.
+        runs keep their pinned metric fingerprints byte-identical.  A
+        record without an outcome code (an error escaped before the
+        audit) counts only towards the profiled section.
         """
-        self.red.record(design, action, outcome, duration_ns / 1000.0, trace_id)
-        self.slo.record_request(now)
-
-    def on_pdp_decide(self, action: str, duration_ns: int) -> None:
-        """Record one PDP rule-list evaluation's wall duration."""
-        self.pdp_red.record("pdp", action, "ok", duration_ns / 1000.0)
-
-    def on_authz_decision(self, decision: Any) -> None:
-        """Hold the decision's rule trace for the exchange's audit leaf.
-
-        Deliberately metrics-free: decisions are already counted through
-        the audit entries they produce, and the cache keeps its own
-        hit/miss statistics out-of-band.
-        """
-        self._pending_authz = decision.trace()
+        self.profiler.add("cloud.handle_packet", record.duration_ns)
+        if record.code is None:
+            return
+        self.red.record(
+            record.design, record.action, record.code,
+            record.duration_ns / 1000.0, record.trace_id,
+        )
+        self.slo.record_request(record.now)
 
     def on_shadow_transition(
         self, device_id: str, event: Any, before: Any, after: Any, time: float

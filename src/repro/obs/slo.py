@@ -98,8 +98,10 @@ class LatencySketch:
         """Record one sample (optionally tagged with its trace id)."""
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
         if value <= 0.0:
             self.zero_count += 1
             return
@@ -107,7 +109,8 @@ class LatencySketch:
         self.buckets[index] = self.buckets.get(index, 0) + 1
         if trace_id:
             candidate = (value, trace_id)
-            if index not in self.exemplars or candidate > self.exemplars[index]:
+            best = self.exemplars.get(index)
+            if best is None or candidate > best:
                 self.exemplars[index] = candidate
 
     def quantile(self, q: float) -> Optional[float]:

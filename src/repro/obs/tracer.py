@@ -18,25 +18,50 @@ which excludes wall-clock noise).
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 #: Span kinds, outermost to innermost.
 SPAN_KINDS = ("scenario", "phase", "exchange")
 
 
-@dataclass
 class Span:
-    """One node of the trace tree."""
+    """One node of the trace tree.
 
-    name: str
-    kind: str = "phase"
-    start: float = 0.0                  # virtual seconds
-    end: Optional[float] = None         # virtual seconds; None while open
-    outcome: str = "ok"
-    attrs: Dict[str, Any] = field(default_factory=dict)
-    children: List["Span"] = field(default_factory=list)
-    wall_ns: int = 0                    # wall-clock cost of the span body
+    A ``__slots__`` record: an observed run keeps one exchange leaf per
+    audited request for its whole lifetime.  Leaves share the empty
+    ``children`` tuple; spans opened with :meth:`Tracer.span` get a
+    list.  A subclass may build ``attrs`` when read
+    (:class:`repro.obs.runtime.ExchangeLeaf` does).
+    """
+
+    __slots__ = ("name", "kind", "start", "end", "outcome", "attrs", "children", "wall_ns")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str = "phase",
+        start: float = 0.0,
+        end: Optional[float] = None,
+        outcome: str = "ok",
+        attrs: Optional[Dict[str, Any]] = None,
+        children: Optional[Sequence["Span"]] = None,
+        wall_ns: int = 0,
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.start = start                  # virtual seconds
+        self.end = end                      # virtual seconds; None while open
+        self.outcome = outcome
+        self.attrs: Dict[str, Any] = {} if attrs is None else attrs
+        self.children: Sequence[Span] = [] if children is None else children
+        self.wall_ns = wall_ns              # wall-clock cost of the span body
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"Span(name={self.name!r}, kind={self.kind!r}, start={self.start!r}, "
+            f"end={self.end!r}, outcome={self.outcome!r}, attrs={self.attrs!r}, "
+            f"children={len(self.children)})"
+        )
 
     @property
     def duration(self) -> float:
@@ -139,11 +164,14 @@ class Tracer:
 
     def event(self, name: str, kind: str = "exchange", **attrs: Any) -> None:
         """Record a zero-duration leaf (e.g. one message exchange)."""
+        self.add_leaf(Span(name, kind, attrs=attrs, children=()))
+
+    def add_leaf(self, span: Span) -> None:
+        """Attach a built leaf under the current span, at the current time."""
         if self._count >= self.max_spans:
             self.dropped += 1
             return
-        now = self._now()
-        span = Span(name=name, kind=kind, start=now, end=now, attrs=attrs)
+        span.start = span.end = self._now()
         self._attach(span)
         self._count += 1
 

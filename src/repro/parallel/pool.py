@@ -240,7 +240,12 @@ class WorkerPool:
 
     def close(self) -> None:
         """Shut the workers down (join briefly, then terminate) and
-        close their queues, so no feeder thread outlives the pool."""
+        close their queues, so no feeder thread outlives the pool.
+
+        Each worker's outbound queue is drained while it is joined: a
+        worker flushes its queued heartbeats before it exits, and an
+        idle pool's pipe may already be full.
+        """
         if self._closed:
             return
         self._closed = True
@@ -254,13 +259,26 @@ class WorkerPool:
         for slot in self._slots:
             if slot.process is None:
                 continue
-            slot.process.join(timeout=2.0)
+            self._join_draining(slot, timeout=2.0)
             if slot.process.is_alive():
                 slot.process.terminate()
                 slot.process.join(timeout=1.0)
             for channel in (slot.task_queue, slot.out_queue):
                 channel.close()
                 channel.join_thread()
+
+    @staticmethod
+    def _join_draining(slot: _Slot, timeout: float) -> None:
+        """Join *slot*'s worker, discarding what it still sends meanwhile."""
+        deadline = time.monotonic() + timeout
+        while slot.process.is_alive() and time.monotonic() < deadline:
+            try:
+                slot.out_queue.get(timeout=0.05)
+            except queue_module.Empty:
+                pass
+            except (EOFError, OSError):  # pragma: no cover - torn pipe
+                slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
+                return
 
     def _spawn(self, slot: _Slot) -> None:
         """(Re)create the processes and queues behind one slot."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cloud.audit import AuditLog
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observer import NULL_CONTEXT, NULL_OBSERVER, Observer, iter_hooks
 from repro.obs.profiler import Profiler
@@ -139,6 +140,19 @@ class TestObserverProtocol:
         for name in iter_hooks():
             assert callable(getattr(obs, name)), name
         assert isinstance(obs, Observer)
+
+    def test_audit_counters_follow_a_replaced_registry(self):
+        # A warm restore installs a fresh registry after the world was
+        # built; entries recorded after that must land in the new one.
+        obs = Observability(trace_messages=False)
+        log = AuditLog(observer=obs)
+        log.record(0.0, "app:0", "-", "Login", "ok")
+        obs.metrics = MetricsRegistry()
+        log.record(1.0, "app:0", "-", "Login", "ok")
+        log.record(2.0, "app:0", "-", "Login", "bad-password")
+        assert obs.metrics.counter("cloud.audit.entries").total() == 2
+        assert obs.metrics.counter("cloud.audit.ok").total() == 1
+        assert obs.metrics.counter("cloud.audit.rejected").total() == 1
 
 
 class TestExport:

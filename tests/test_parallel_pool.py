@@ -13,6 +13,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.parallel import (
     run_shard,
     world_key,
 )
+from repro.parallel.protocol import Heartbeat
 from repro.parallel.pool import (
     MAX_TASK_ATTEMPTS,
     preferred_start_method,
@@ -452,6 +454,27 @@ class TestPoolRobustness:
         pool.run(self.specs())
         pool.close()
         assert feeders() <= before
+
+    def test_idle_pool_closes_cleanly_after_heartbeat_pipe_fills(self):
+        # A caller-owned pool left idle: nobody reads the heartbeats, so
+        # each worker's outbound pipe fills and the rest wait in its
+        # queue buffer, which the worker must flush before it can exit.
+        pipe_bytes = 64 * 1024  # the Linux default pipe capacity
+        beat_bytes = len(pickle.dumps(Heartbeat(worker=1, seq=10**6))) + 4
+        backlog = 4 * pipe_bytes // beat_bytes
+        pool = WorkerPool(workers=2, heartbeat_interval=0.0005)
+        pool.start()
+        slots = pool._slots
+        deadline = time.monotonic() + 60.0
+        while min(slot.out_queue.qsize() for slot in slots) < backlog:
+            if time.monotonic() > deadline:
+                pool.close()
+                pytest.fail("heartbeats never backed up past the pipe")
+            time.sleep(0.05)
+        started = time.monotonic()
+        pool.close()
+        assert time.monotonic() - started < 1.0  # the join timeout is 2 s
+        assert [slot.process.exitcode for slot in slots] == [0, 0]
 
     def test_worker_that_fails_to_start_raises_without_respawn(self, tmp_path):
         # No __main__ guard: the worker re-runs the script on import,

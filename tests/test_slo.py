@@ -192,16 +192,31 @@ class TestRedRecording:
 
 
 class TestCalmPathFreedom:
+    """The record points sit behind the null-observer flag.
+
+    The structural half of ``tools/check_slo_overhead.py``: with every
+    per-request observer hook (and the wall clock the record reads)
+    patched to raise, a calm fleet runs end to end; an instrumented
+    control with the hooks restored must actually record RED series.
+    """
+
     def test_null_observer_never_reaches_hooks(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("SLO hook fired on the calm path")
 
-        monkeypatch.setattr(Observer, "on_request", boom)
-        monkeypatch.setattr(Observer, "on_pdp_decide", boom)
-        fleet = FleetDeployment(vendor("OZWI"), households=3, seed=3)
-        fleet.setup_all()
-        fleet.run(30.0)
-        assert len(fleet.cloud.audit) > 0
+        with monkeypatch.context() as patched:
+            for hook in ("on_request", "on_audit", "on_shadow_transition"):
+                patched.setattr(Observer, hook, boom)
+            patched.setattr("repro.cloud.service.perf_counter_ns", boom)
+            patched.setattr("repro.cloud.pdp.engine.perf_counter_ns", boom)
+            fleet = FleetDeployment(vendor("OZWI"), households=3, seed=3)
+            fleet.setup_all()
+            fleet.run(30.0)
+            assert len(fleet.cloud.audit) > 0
+
+        obs, control = observed_fleet(households=3, seconds=30.0)
+        assert obs.red.total_requests() == len(control.cloud.audit) > 0
+        assert obs.pdp_red.total_requests() > 0
 
 
 class TestSLOTracker:

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """SLO-instrumentation overhead gate: the calm path must stay free.
 
-The RED/SLO record points added to ``CloudService.handle_packet`` and
-``PolicyDecisionPoint.decide`` live strictly behind the precomputed
-``observer is not NULL_OBSERVER`` flag, so an uninstrumented run must
-pay nothing beyond one boolean test per packet.  This gate proves that
+The RED/SLO record points in ``CloudService.handle_packet`` (the one
+per-request record) and ``PolicyDecisionPoint.decide`` (its timing)
+live strictly behind the precomputed ``observer is not NULL_OBSERVER``
+flag, so an uninstrumented run must pay nothing beyond one boolean test
+per packet.  This gate proves that
 three ways:
 
 1. **Paired timing** — the same calm fleet workload run under
@@ -14,8 +15,10 @@ three ways:
    must stay under 2%, with an absolute per-request slack floor so
    scheduler noise on a ~20ms workload cannot fail the build on its
    own: a measured delta below 0.25us/request is noise, not cost.
-2. **Structural check** — ``Observer.on_request``/``on_pdp_decide``
-   are patched to raise, then an uninstrumented fleet runs end to end:
+2. **Structural check** — ``Observer.on_request`` (the record hook)
+   and ``Observer.on_audit`` (which carries the record's PDP decision
+   and timing) are patched to raise, then an uninstrumented fleet runs
+   end to end:
    if any calm-path code reaches the new hooks, the run explodes.  An
    instrumented control run (hooks restored) must then actually record
    RED series, proving the instrument is live rather than dead.
@@ -132,14 +135,14 @@ def structural_check():
             "SLO hook fired on the NULL_OBSERVER calm path"
         )
 
-    saved = (Observer.on_request, Observer.on_pdp_decide)
+    saved = (Observer.on_request, Observer.on_audit)
     Observer.on_request = boom
-    Observer.on_pdp_decide = boom
+    Observer.on_audit = boom
     try:
         _one_run()  # any hook call raises -> the gate fails loudly
         never_fired = True
     finally:
-        Observer.on_request, Observer.on_pdp_decide = saved
+        Observer.on_request, Observer.on_audit = saved
     obs = Observability(trace_messages=False)
     _one_run(observer=obs)
     endpoint = obs.red.total_requests()
