@@ -19,7 +19,6 @@ smoke runs.
 
 import json
 import os
-import time
 
 from repro.chaos import ChaosSpec, apply_chaos, binding_liveness
 from repro.cloud.policy import DeviceAuthMode, VendorDesign
@@ -56,7 +55,6 @@ PLAN = "flaky-wan"
 
 def _campaign_row(intensity, resilience):
     """One chaos curve row: denial + liveness averaged over ``SEEDS``."""
-    started = time.perf_counter()
     samples = []
     for seed in SEEDS:
         result = run_campaign(
@@ -84,7 +82,6 @@ def _campaign_row(intensity, resilience):
             "retries": shard_chaos["resilience"].get("retries", 0),
             "giveups": shard_chaos["resilience"].get("giveups", 0),
         })
-    wall = time.perf_counter() - started
     row = {
         key: round(sum(s[key] for s in samples) / len(samples), 4)
         for key in samples[0]
@@ -93,7 +90,6 @@ def _campaign_row(intensity, resilience):
         intensity=intensity,
         resilience=resilience,
         seeds=len(samples),
-        wall_seconds=round(wall, 4),
     )
     return row
 

@@ -26,7 +26,6 @@ smoke runs.
 
 import json
 import os
-import time
 
 from repro.chaos import ChaosSpec
 from repro.obs.detect.harness import ATTACK_CAMPAIGNS, detection_matrix, run_detection
@@ -51,7 +50,6 @@ def _vendor_matrix():
     """Per-vendor x A1-A4 detection scores (the headline table)."""
     matrix = {}
     for name in VENDORS:
-        started = time.perf_counter()
         runs = run_detection(
             vendor(name),
             households=HOUSEHOLDS,
@@ -60,10 +58,7 @@ def _vendor_matrix():
             seed=SEED,
             run_seconds=6.0,
         )
-        rows = detection_matrix(runs)
-        for row in rows.values():
-            row["wall_seconds"] = round(time.perf_counter() - started, 4)
-        matrix[name] = rows
+        matrix[name] = detection_matrix(runs)
     return matrix
 
 

@@ -1,20 +1,15 @@
-"""SLO latency curves: per-design RED quantiles, calm vs. chaos.
+"""SLO curves: per-design availability, calm vs. chaos.
 
 Runs every studied vendor design plus the secure baselines through the
 normal fleet lifecycle with full observability, once calm and once per
 ``cloud-brownout`` intensity, and emits
-``benchmarks/output/BENCH_slo.json`` with:
+``benchmarks/output/BENCH_slo.json`` with per-design request counts,
+availability and error-budget consumption against the default SLO,
+burn-rate alerts, and per-fault-window breach/degraded/unaffected
+verdicts at each chaos intensity.
 
-* per-design request rate (req/s of wall time) and p50/p99 handler
-  latency from the RED sketches — the per-request overhead curve of
-  each vendor protocol under load,
-* per-design availability and error-budget consumption against the
-  default SLO, with burn-rate alert times and per-fault-window
-  breach/degraded/unaffected verdicts at each chaos intensity, and
-* an in-bench sharded-vs-serial identity check: the same sample
-  stream sketched serially and split across 2/4 simulated shards then
-  merged must produce bit-identical snapshots and quantiles (this is
-  the property that makes pooled campaign quantiles trustworthy).
+Every field is virtual-time and seeded, so two runs write byte-identical
+JSON.  Request timings are measured by ``benchmarks/perf`` alone.
 
 Set ``BENCH_QUICK=1`` to shrink fleets and the virtual horizon for CI
 smoke runs.
@@ -22,19 +17,12 @@ smoke runs.
 
 import json
 import os
-import random
-import time
 
 from repro.chaos import ChaosSpec, apply_chaos
 from repro.chaos.faults import plan_from_name
 from repro.fleet import FleetDeployment
 from repro.obs import Observability
-from repro.obs.slo import (
-    LatencySketch,
-    SLOSpec,
-    evaluate_availability,
-    score_fault_windows,
-)
+from repro.obs.slo import SLOSpec, evaluate_availability, score_fault_windows
 from repro.secure import SECURE_BASELINES
 from repro.vendors import STUDIED_VENDORS
 
@@ -63,22 +51,14 @@ def _run_design(design, intensity):
     if intensity is not None:
         apply_chaos(fleet, ChaosSpec(plan=PLAN, intensity=intensity))
         plan = plan_from_name(PLAN, intensity)
-    started = time.perf_counter()
     fleet.setup_all()
     fleet.run(SECONDS)
-    wall = time.perf_counter() - started
-    sketch = obs.red.combined_sketch(design.name)
     availability = evaluate_availability(obs.slo, SPEC)
-    quantiles = sketch.quantiles()
     row = {
         "design": design.name,
         "scenario": "calm" if intensity is None else f"{PLAN}@{intensity:g}",
         "intensity": intensity,
-        "requests": sketch.count,
-        "req_per_s": round(sketch.count / wall, 1) if wall else 0.0,
-        "wall_seconds": round(wall, 4),
-        "p50_us": quantiles["p50"],
-        "p99_us": quantiles["p99"],
+        "requests": obs.red.total_requests(),
         "availability": round(availability["achieved"], 6),
         "budget_consumed": round(availability["budget_consumed"], 4),
         "alerted": any(
@@ -91,82 +71,19 @@ def _run_design(design, intensity):
              "bad": v["bad"], "verdict": v["verdict"]}
             for v in score_fault_windows(obs.slo, SPEC, plan)
         ]
-    return row, obs
+    return row
 
 
-def _merge_identity_check(red_snapshots):
-    """Assert sharded == serial for sketch quantiles, bit for bit.
-
-    Two layers: a deterministic synthetic stream split across 2 and 4
-    simulated shards, and the real per-series sketches from the calm
-    runs merged in two different shard groupings.  Returns a summary
-    dict for the JSON artifact.
-    """
-    def assert_identical(left, right, what):
-        """Bit-equal except ``sum``: float addition is order-sensitive
-        at the ULP level, and quantiles never read it — everything that
-        feeds a quantile (integer bucket counts, min/max, exemplars)
-        must match exactly."""
-        a, b = left.snapshot(), right.snapshot()
-        sum_a, sum_b = a.pop("sum"), b.pop("sum")
-        assert a == b, f"{what}: merged sketch differs from serial"
-        assert abs(sum_a - sum_b) <= 1e-9 * max(abs(sum_a), 1.0)
-        assert left.quantiles() == right.quantiles()
-
-    rng = random.Random(SEED)
-    samples = [rng.lognormvariate(3.0, 1.2) for _ in range(5000)]
-    serial = LatencySketch()
-    for i, value in enumerate(samples):
-        serial.observe(value, trace_id=f"t{i}")
-    for shards in (2, 4):
-        parts = [LatencySketch() for _ in range(shards)]
-        for i, value in enumerate(samples):
-            parts[i % shards].observe(value, trace_id=f"t{i}")
-        merged = LatencySketch()
-        for part in parts:
-            merged.merge_snapshot(part.snapshot())
-        assert_identical(merged, serial, f"{shards}-way split")
-    # Real campaign data: merging per-series snapshots forward vs.
-    # reversed must agree (merge order is how shard grouping varies).
-    series = [
-        row["sketch"]
-        for snap in red_snapshots
-        for row in snap["series"].values()
-    ]
-    forward = LatencySketch()
-    for snap in series:
-        forward.merge_snapshot(snap)
-    backward = LatencySketch()
-    for snap in reversed(series):
-        backward.merge_snapshot(snap)
-    assert_identical(forward, backward, "forward vs reversed campaign merge")
-    return {
-        "synthetic_samples": len(samples),
-        "shard_counts_checked": [2, 4],
-        "campaign_series_merged": len(series),
-        "quantiles_us": {
-            k: round(v, 3) for k, v in serial.quantiles().items()
-        },
-        "identical": True,
-    }
-
-
-def test_slo_latency_curves(benchmark):
+def test_slo_curves(benchmark):
     """The headline artifact: per-design SLO curves -> BENCH_slo.json."""
-    calm_snapshots = []
-
-    def _all_rows():
-        rows = []
-        for design in DESIGNS:
-            for intensity in (None,) + INTENSITIES:
-                row, obs = _run_design(design, intensity)
-                rows.append(row)
-                if intensity is None:
-                    calm_snapshots.append(obs.red.snapshot())
-        return rows
-
-    rows = benchmark.pedantic(_all_rows, rounds=1, iterations=1)
-    merge_check = _merge_identity_check(calm_snapshots)
+    rows = benchmark.pedantic(
+        lambda: [
+            _run_design(design, intensity)
+            for design in DESIGNS
+            for intensity in (None,) + INTENSITIES
+        ],
+        rounds=1, iterations=1,
+    )
 
     payload = {
         "config": {
@@ -180,7 +97,6 @@ def test_slo_latency_curves(benchmark):
             "quick": QUICK,
         },
         "curves": rows,
-        "merge_identity": merge_check,
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "BENCH_slo.json").write_text(
@@ -193,16 +109,13 @@ def test_slo_latency_curves(benchmark):
         1 for r in worst
         if any(v["verdict"] == "breach" for v in r.get("fault_verdicts", ()))
     )
-    p99s = [r["p99_us"] for r in calm if r["p99_us"] is not None]
     emit(
         "slo",
         f"{len(DESIGNS)} designs x (calm + {PLAN} @ "
         f"{', '.join(f'{i:g}' for i in INTENSITIES)}): "
-        f"calm p99 {min(p99s):.0f}-{max(p99s):.0f}us, "
         f"availability {min(r['availability'] for r in calm):.2%} min calm "
         f"vs {min(r['availability'] for r in worst):.2%} min at intensity "
         f"{INTENSITIES[-1]:g}; {breached}/{len(worst)} designs breach; "
-        f"sharded-vs-serial sketch identity held for 2/4 shards; "
         f"BENCH_slo.json written",
     )
     # Coverage floor: all designs, calm + >=3 chaos intensities each.
@@ -210,4 +123,3 @@ def test_slo_latency_curves(benchmark):
     assert len(INTENSITIES) >= 3
     assert all(r["requests"] > 0 for r in calm)
     assert all(r["availability"] == 1.0 for r in calm)
-    assert merge_check["identical"]

@@ -10,6 +10,7 @@ oracle the perf optimization is gated on.
 
 import pytest
 
+from repro.attacks.campaign import campaign_mass_unbind, campaign_shadow_probe
 from repro.cloud.authz import (
     MISS,
     AuthorizationCache,
@@ -29,6 +30,8 @@ from repro.core.messages import (
     StatusMessage,
     UnbindMessage,
 )
+from repro.fleet import FleetDeployment
+from repro.vendors import vendor
 from tests.helpers import CloudHarness
 
 
@@ -220,3 +223,27 @@ class TestStatsStayOutOfArtifacts:
         a, b = worlds
         assert a.cloud.bindings.snapshot_state() == b.cloud.bindings.snapshot_state()
         assert a.cloud.authz_cache.stats() != b.cloud.authz_cache.stats()
+
+
+class TestCampaignEffectiveness:
+    """The repeat-heavy campaigns actually hit the cache.
+
+    Mass-unbind re-presents one attacker UserToken per probe and the
+    heartbeat phase re-presents every DevToken each beat; both must land
+    as hits, and the campaign's mutations must invalidate.  The classes
+    above are the correctness half; this is the effectiveness floor.
+    """
+
+    @pytest.mark.parametrize(
+        "campaign", [campaign_mass_unbind, campaign_shadow_probe]
+    )
+    def test_campaign_hits_and_invalidates(self, campaign):
+        fleet = FleetDeployment(vendor("OZWI"), households=6, seed=11)
+        fleet.setup_all()
+        fleet.run(8.0)
+        campaign(fleet, max_probes=60)
+        cache = fleet.cloud.authz_cache
+        stats = cache.stats()
+        assert stats["hits"] > 0
+        assert stats["invalidations"] > 0
+        assert cache.hit_rate() >= 0.05

@@ -1,9 +1,10 @@
 """The docs lint (tools/check_docs.py) as a tier-1 test.
 
-Every relative link in README.md and docs/*.md must resolve, and every
-``repro`` CLI subcommand the docs mention, and every ``--flag`` they
-pass it, must exist in ``repro.cli.build_parser`` — so the docs cannot
-drift from the code.
+Every relative link and ``#anchor`` in README.md, EXPERIMENTS.md,
+DESIGN.md and docs/*.md must resolve, every repo path they quote must
+exist, and every ``repro`` CLI subcommand the docs mention, and every
+``--flag`` they pass it, must exist in ``repro.cli.build_parser`` — so
+the docs cannot drift from the code.
 """
 
 import pathlib
@@ -24,6 +25,8 @@ def test_lint_actually_scans_the_docs():
     files = check_docs.doc_files()
     names = {path.name for path in files}
     assert "README.md" in names
+    assert "EXPERIMENTS.md" in names
+    assert "DESIGN.md" in names
     assert "parallelism.md" in names
     assert "performance.md" in names
 
@@ -34,6 +37,39 @@ def test_lint_catches_a_broken_link(tmp_path):
     errors = check_docs.check_links(page)
     assert len(errors) == 1
     assert "no-such-file.md" in errors[0]
+
+
+def test_lint_catches_a_broken_anchor(tmp_path):
+    (tmp_path / "other.md").write_text(
+        "# The kernel hot path\n\n```\n# Not a heading\n```\n", encoding="utf-8"
+    )
+    page = tmp_path / "page.md"
+    page.write_text(
+        "## Local (part 1)\n"
+        "[ok](other.md#the-kernel-hot-path) [ok](#local-part-1)\n"
+        "[stale](other.md#the-kernel-hot-path-bench_kerneljson)\n"
+        "[fenced](other.md#not-a-heading)\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_links(page)
+    assert len(errors) == 2
+    assert "page.md:3: no heading for anchor" in errors[0]
+    assert "#not-a-heading" in errors[1]
+
+
+def test_lint_catches_a_missing_repo_path(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "see `tools/check_docs.py` and `tests/test_docs.py::test_x`;\n"
+        "`benchmarks/no_such_bench.py` is gone, and so is `BENCH_nothing.json`\n"
+        "```bash\npython tools/no_such_tool.py\n```\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_paths(page)
+    assert len(errors) == 3
+    assert "page.md:2: no such repo path -> benchmarks/no_such_bench.py" in errors[0]
+    assert "benchmarks/output/BENCH_nothing.json" in errors[1]
+    assert "page.md:4: no such repo path -> tools/no_such_tool.py" in errors[2]
 
 
 def test_lint_catches_a_phantom_cli_command(tmp_path):

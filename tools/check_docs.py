@@ -1,11 +1,22 @@
-"""Docs lint: every link resolves, every named CLI command and flag exists.
+"""Docs lint: every link, anchor and repo path resolves; every named CLI
+command and flag exists.
 
-Two checks over ``README.md`` and ``docs/*.md``:
+Four checks over ``README.md``, ``EXPERIMENTS.md``, ``DESIGN.md`` and
+``docs/*.md``:
 
 * every *relative* markdown link (``[text](path)``) must point at a
-  file or directory that exists in the repository (anchors and
-  ``http(s)``/``mailto`` links are skipped; a ``path#anchor`` link is
-  checked for the file part);
+  file or directory that exists in the repository (``http(s)`` and
+  ``mailto`` links are skipped);
+* every ``#anchor`` on such a link (``path.md#anchor``, or ``#anchor``
+  for the page itself) must name a heading of the target page under
+  GitHub's slug rule: lowercase, drop every character except word
+  characters, spaces and hyphens, spaces become hyphens; headings
+  inside code fences do not count;
+* every repo path in a code span or code block (``benchmarks/…``,
+  ``tools/…``, ``src/…``, ``tests/…``, ``docs/…``, ``examples/…``; a
+  ``::name`` or ``:line`` suffix is ignored) must exist, and so must
+  every ``BENCH_<name>.json`` artifact named bare (it lives in
+  ``benchmarks/output/``), so the docs cannot cite a deleted file;
 * every ``repro`` CLI subcommand the docs mention — ``python -m repro
   <sub>`` or inline ``repro <sub>`` code spans — must be a real
   subcommand of :func:`repro.cli.build_parser`, and every ``--flag``
@@ -23,7 +34,7 @@ import argparse
 import pathlib
 import re
 import sys
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -45,9 +56,24 @@ _INLINE_CMD = re.compile(r"`+[ \t]*repro[ \t]+([a-z][a-z0-9-]*)" + _ARGS)
 #: a long option such as ``--workers``
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
+#: a code fence opening or closing line
+_FENCE = re.compile(r"^\s*(```|~~~)")
+
+#: an ATX heading: ``## Title``
+_HEADING = re.compile(r"^#{1,6}[ \t]+(.*?)[ \t#]*$")
+
+#: an inline code span on one line
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+
+#: a repo path, or a bare ``BENCH_<name>.json`` artifact name
+_REPO_PATH = re.compile(
+    r"(?<![\w./-])(?:(?:benchmarks|tools|src|tests|docs|examples)/[\w./-]*"
+    r"|BENCH_\w+\.json)"
+)
+
 
 def doc_files() -> List[pathlib.Path]:
-    files = [REPO_ROOT / "README.md"]
+    files = [REPO_ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     return [path for path in files if path.exists()]
 
@@ -82,15 +108,58 @@ def _display(path: pathlib.Path) -> str:
         return str(path)
 
 
+def _lines(path: pathlib.Path) -> List[Tuple[int, str, bool]]:
+    """``(number, line, inside_code_fence)`` for every line of *path*."""
+    rows, fenced = [], False
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        fence = bool(_FENCE.match(line))
+        fenced ^= fence
+        rows.append((number, line, fenced or fence))
+    return rows
+
+
+def slug(heading: str) -> str:
+    """GitHub's anchor for *heading*."""
+    return re.sub(r"[^\w\- ]", "", heading.lower()).replace(" ", "-")
+
+
+def anchors(path: pathlib.Path) -> Set[str]:
+    """The anchors of every heading in *path* outside code fences."""
+    return {
+        slug(match.group(1))
+        for _, line, fenced in _lines(path)
+        if not fenced and (match := _HEADING.match(line))
+    }
+
+
 def check_links(path: pathlib.Path) -> List[str]:
     errors = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line, _ in _lines(path):
         for target in _LINK.findall(line):
-            if target.startswith(("http://", "https://", "mailto:", "#")):
+            if target.startswith(("http://", "https://", "mailto:")):
                 continue
-            resolved = (path.parent / target.split("#", 1)[0]).resolve()
+            file_part, _, anchor = target.partition("#")
+            resolved = (path.parent / file_part).resolve()
+            where = f"{_display(path)}:{number}"
             if not resolved.exists():
-                errors.append(f"{_display(path)}:{number}: broken link -> {target}")
+                errors.append(f"{where}: broken link -> {target}")
+            elif anchor and resolved.suffix == ".md" and anchor not in anchors(resolved):
+                errors.append(f"{where}: no heading for anchor -> {target}")
+    return errors
+
+
+def check_paths(path: pathlib.Path) -> List[str]:
+    """Repo paths in code spans and code blocks that do not exist."""
+    errors = []
+    for number, line, fenced in _lines(path):
+        for code in [line] if fenced else _CODE_SPAN.findall(line):
+            for name in _REPO_PATH.findall(code):
+                if name.startswith("BENCH_"):
+                    name = f"benchmarks/output/{name}"
+                if not (REPO_ROOT / name).exists():
+                    errors.append(
+                        f"{_display(path)}:{number}: no such repo path -> {name}"
+                    )
     return errors
 
 
@@ -119,6 +188,7 @@ def run_checks() -> List[str]:
     errors: List[str] = []
     for path in doc_files():
         errors.extend(check_links(path))
+        errors.extend(check_paths(path))
         errors.extend(check_cli_mentions(path, options))
     return errors
 
