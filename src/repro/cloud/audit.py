@@ -6,7 +6,7 @@ every request, its claimed origin, and the outcome code.  It also powers
 the Figure 1/3/4 sequence traces.
 
 The log doubles as the cloud's single observability feed: when an
-observer is installed (``AuditLog(observer=...)``), every recorded entry
+observer is installed (``AuditLog(observer=...)``), every recorded row
 is forwarded to :meth:`~repro.obs.observer.Observer.on_audit`, which the
 :class:`~repro.obs.runtime.Observability` runtime turns into message
 counters and exchange spans — one source of truth, no duplicate
@@ -15,71 +15,55 @@ bookkeeping, and counter totals provably equal to the log's.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
+
+#: One stored audit row, in :data:`AUDIT_FIELDS` order.  An exact tuple
+#: of ``str``/``float`` fields, which the cyclic collector untracks at
+#: its first pass, so full collections never walk the log.
+AuditRow = Tuple[float, str, str, str, str, str, str]
+
+AUDIT_FIELDS = (
+    "time",
+    "source_node",
+    "source_ip",
+    "summary",
+    "outcome",  # "ok" or a rejection code
+    "detail",
+    "trace_id",  # causal chain id from the request packet, if any
+)
 
 
 class AuditEntry:
-    """One handled request.
+    """One handled request: a read-side view of one :data:`AuditRow`.
 
-    A ``__slots__`` record (one per handled request, so allocation is on
-    the cloud hot path); treat instances as immutable.  Equality and
-    hashing cover all fields — shard merges compare and pickle entries.
+    Built on demand by :attr:`AuditLog.entries` and the other readers;
+    the log itself stores only rows.  Equality and hashing are the
+    row's — shard merges compare and pickle entries.
     """
 
-    __slots__ = (
-        "time",
-        "source_node",
-        "source_ip",
-        "summary",
-        "outcome",
-        "detail",
-        "trace_id",
-    )
+    __slots__ = AUDIT_FIELDS
 
-    def __init__(
-        self,
-        time: float,
-        source_node: str,
-        source_ip: str,
-        summary: str,
-        outcome: str,  # "ok" or a rejection code
-        detail: str = "",
-        trace_id: str = "",  # causal chain id from the request packet, if any
-    ) -> None:
-        self.time = time
-        self.source_node = source_node
-        self.source_ip = source_ip
-        self.summary = summary
-        self.outcome = outcome
-        self.detail = detail
-        self.trace_id = trace_id
+    def __init__(self, row: AuditRow) -> None:
+        (self.time, self.source_node, self.source_ip, self.summary,
+         self.outcome, self.detail, self.trace_id) = row
 
-    def _key(self) -> tuple:
-        return (
-            self.time,
-            self.source_node,
-            self.source_ip,
-            self.summary,
-            self.outcome,
-            self.detail,
-            self.trace_id,
-        )
+    @property
+    def row(self) -> AuditRow:
+        """The stored row this entry views."""
+        return (self.time, self.source_node, self.source_ip, self.summary,
+                self.outcome, self.detail, self.trace_id)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AuditEntry):
             return NotImplemented
-        return self._key() == other._key()
+        return self.row == other.row
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.row)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AuditEntry(time={self.time!r}, source_node={self.source_node!r}, "
-            f"source_ip={self.source_ip!r}, summary={self.summary!r}, "
-            f"outcome={self.outcome!r}, detail={self.detail!r}, "
-            f"trace_id={self.trace_id!r})"
-        )
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(AUDIT_FIELDS, self.row))
+        return f"AuditEntry({fields})"
 
     def line(self) -> str:
         """One fixed-width log line."""
@@ -95,7 +79,7 @@ class AuditLog:
     """Append-only record of handled requests (optionally observed)."""
 
     def __init__(self, observer: Optional[Any] = None) -> None:
-        self.entries: List[AuditEntry] = []
+        self.rows: List[AuditRow] = []
         self._observer = observer
 
     def record(
@@ -109,32 +93,35 @@ class AuditLog:
         trace_id: str = "",
         request: Optional[Any] = None,
     ) -> None:
-        """Append one entry; forward it to the observer when installed.
+        """Append one row; forward it to the observer when installed.
 
         *request* is the observed request's
-        :class:`~repro.obs.observer.RequestRecord` when this entry
-        records that request's outcome; it rides along to the observer.
+        :class:`~repro.obs.observer.RequestRecord` when this row records
+        that request's outcome; it rides along to the observer.
         """
-        entry = AuditEntry(
-            time, source_node, source_ip, summary, outcome, detail, trace_id
-        )
-        self.entries.append(entry)
+        row = (time, source_node, source_ip, summary, outcome, detail, trace_id)
+        self.rows.append(row)
         if self._observer is not None:
-            self._observer.on_audit(entry, request)
+            self._observer.on_audit(row, request)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> List[AuditEntry]:
+        """Every entry in recording order (views built on each read)."""
+        return [AuditEntry(row) for row in self.rows]
 
     def rejected(self) -> List[AuditEntry]:
-        return [entry for entry in self.entries if entry.outcome != "ok"]
+        return [AuditEntry(row) for row in self.rows if row[4] != "ok"]
 
     def matching(self, fragment: str) -> List[AuditEntry]:
-        return [entry for entry in self.entries if fragment in entry.summary]
+        return [AuditEntry(row) for row in self.rows if fragment in row[3]]
 
     def last_outcome(self, fragment: str) -> Optional[str]:
         hits = self.matching(fragment)
         return hits[-1].outcome if hits else None
 
     def render(self, limit: Optional[int] = None) -> str:
-        entries = self.entries if limit is None else self.entries[-limit:]
-        return "\n".join(entry.line() for entry in entries)
+        rows = self.rows if limit is None else self.rows[-limit:]
+        return "\n".join(AuditEntry(row).line() for row in rows)

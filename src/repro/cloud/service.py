@@ -325,7 +325,7 @@ class CloudService:
             "shadows": self.shadows.snapshot_state(),
             "relay_volatile": self.relay.capture_volatile(),
             "bind_probe_failures": dict(self.bind_probe_failures),
-            "audit_entries": list(self.audit.entries),
+            "audit_rows": list(self.audit.rows),
             "token_rng": self.tokens.rng_state(),
             "mutations": {
                 name: store.merge_counts()["mutations"]
@@ -380,11 +380,11 @@ class CloudService:
         self.shadows.restore_state(state["shadows"])
         self.relay.restore_volatile(state["relay_volatile"])
         self.bind_probe_failures = dict(state["bind_probe_failures"])
-        # Audit history is installed directly, NOT re-record()ed: the
+        # Audit rows are installed directly, NOT re-record()ed: the
         # observer's audit counters are restored wholesale from the
         # image's metrics snapshot by the fleet-level restore, so firing
         # on_audit here would double-count.
-        self.audit.entries = list(state["audit_entries"])
+        self.audit.rows = list(state["audit_rows"])
         self.tokens.restore_rng_state(state["token_rng"])
         # Replaying records as upserts inflated every churn counter;
         # rewind each to the captured value.
@@ -461,10 +461,9 @@ class CloudService:
         """Dispatch one packet, auditing and (when watched) evidencing it.
 
         *request* is the observed path's record; the PDP decision is
-        put on it before the audit entry that it explains.
+        put on it before the audit row that it explains.
         """
         message = packet.message
-        trace_id = packet.trace.trace_id if packet.trace is not None else ""
         forensic_kind = _FORENSIC_KINDS.get(type(message))
         bound_before = ""
         actor = ""
@@ -476,41 +475,55 @@ class CloudService:
         try:
             response = self._dispatch(packet, message)
         except RequestRejected as exc:
-            decision_trace = self._collect_decision_trace(request)
-            self.audit.record(
-                self.now,
-                packet.src,
-                str(packet.observed_src_ip),
-                describe(message),
-                exc.code,
-                exc.detail,
-                trace_id,
-                request,
+            self._record_evidence(
+                packet, request, forensic_kind, exc.code, exc.detail, actor,
+                bound_before,
             )
-            if forensic_kind is not None:
-                self._record_forensic(
-                    packet, forensic_kind, exc.code, actor, bound_before,
-                    decision_trace=decision_trace,
-                )
             raise
+        replaced = (
+            forensic_kind is not None
+            and isinstance(response, Response)
+            and bool(response.payload.get("replaced", False))
+        )
+        self._record_evidence(
+            packet, request, forensic_kind, "ok", "", actor, bound_before, replaced
+        )
+        return response
+
+    def _record_evidence(
+        self,
+        packet: Packet,
+        request: Optional[RequestRecord],
+        forensic_kind: Optional[str],
+        outcome: str,
+        detail: str,
+        actor: str,
+        bound_before: str,
+        replaced: bool = False,
+    ) -> None:
+        """Audit one handled exchange and, when watched, evidence it.
+
+        The audit row and the forensic row share one ``now`` float and
+        one summary string, read once here.
+        """
         decision_trace = self._collect_decision_trace(request)
+        message = packet.message
+        now = self.now
+        summary = describe(message)
+        origin_ip = str(packet.observed_src_ip)
+        trace = packet.trace
+        trace_id = trace.trace_id if trace is not None else ""
         self.audit.record(
-            self.now,
-            packet.src,
-            str(packet.observed_src_ip),
-            describe(message),
-            trace_id=trace_id,
-            request=request,
+            now, packet.src, origin_ip, summary, outcome, detail, trace_id, request
         )
         if forensic_kind is not None:
-            replaced = isinstance(response, Response) and bool(
-                response.payload.get("replaced", False)
+            # Positional, in ForensicTimeline.record's parameter order.
+            self.forensics.record(
+                now, getattr(message, "device_id", None) or "", forensic_kind,
+                summary, packet.src, origin_ip, trace_id,
+                trace.span_id if trace is not None else "", outcome, actor,
+                bound_before, replaced, decision_trace,
             )
-            self._record_forensic(
-                packet, forensic_kind, "ok", actor, bound_before, replaced,
-                decision_trace=decision_trace,
-            )
-        return response
 
     def _collect_decision_trace(self, request: Optional[RequestRecord]) -> str:
         """Collect the PDP's decision for the exchange just dispatched.
@@ -552,34 +565,6 @@ class CloudService:
             record = self.tokens.lookup(bind_token, TokenKind.BIND)
             return record.subject if record is not None else ""
         return getattr(message, "device_id", None) or ""
-
-    def _record_forensic(
-        self,
-        packet: Packet,
-        kind: str,
-        outcome: str,
-        actor: str,
-        bound_before: str,
-        replaced: bool = False,
-        decision_trace: str = "",
-    ) -> None:
-        """Append one event to the forensic timeline (always on)."""
-        trace = packet.trace
-        self.forensics.record(
-            time=self.now,
-            device_id=getattr(packet.message, "device_id", None) or "",
-            kind=kind,
-            summary=describe(packet.message),
-            source=packet.src,
-            origin_ip=str(packet.observed_src_ip),
-            trace_id=trace.trace_id if trace is not None else "",
-            span_id=trace.span_id if trace is not None else "",
-            outcome=outcome,
-            actor=actor,
-            bound_before=bound_before,
-            replaced=replaced,
-            decision_trace=decision_trace,
-        )
 
     def _dispatch(self, packet: Packet, message: Message) -> Message:
         handler = self._dispatch_table.get(type(message))

@@ -10,7 +10,8 @@ a same-seed world must leave that world bit-identical.
 Events are deduplicated by sequence number so the pipeline composes
 with chaos plans: a :class:`~repro.chaos.faults.CloudRestart` replays
 the journal into the recovered cloud's timeline (same seqs), and
-:meth:`catch_up` re-reads that store without double-alerting.
+:meth:`catch_up` reads only that store's events past the last seq it
+has seen, so it never double-alerts.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class DetectionPipeline:
         """Consume *cloud*'s existing timeline, then stream new events."""
         self.detach()
         timeline: ForensicTimeline = cloud.forensics
-        for event in timeline.events():
+        for event in timeline.events(self._next_seq):
             self.process(event)
         timeline.add_sink(self.process)
         self._attached = timeline
@@ -55,14 +56,13 @@ class DetectionPipeline:
             self._attached = None
 
     def catch_up(self, cloud: Any) -> None:
-        """Re-read *cloud*'s timeline, processing only unseen events.
+        """Read *cloud*'s events after the last seq this pipeline saw.
 
         Chaos restarts replace the cloud object (journal recovery builds
         a successor), so the harness calls this after a run to pick up
         events recorded by whatever cloud finished the campaign.
         """
-        timeline: ForensicTimeline = cloud.forensics
-        for event in timeline.events():
+        for event in cloud.forensics.events(self._next_seq):
             self.process(event)
 
     def summary(self) -> Dict[str, Any]:

@@ -19,9 +19,11 @@ snapshot restore, so a recovered cloud does not re-alert on history.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
+from repro.core.errors import ConfigurationError
 
 #: A streaming consumer of live forensic events.
 ForensicSink = Callable[["ForensicEvent"], None]
@@ -29,7 +31,8 @@ ForensicSink = Callable[["ForensicEvent"], None]
 #: The message kinds that affect (or probe) a device shadow's binding.
 WATCHED_KINDS = ("status", "bind", "unbind", "control", "fetch")
 
-#: ForensicEvent field order (also the record/serialization order).
+#: ForensicEvent field order (also the record/serialization order and,
+#: followed by ``decision_trace``, the stored row's order).
 _EVENT_FIELDS = (
     "seq",
     "time",
@@ -45,6 +48,8 @@ _EVENT_FIELDS = (
     "bound_before",
     "replaced",
 )
+_FIELD_SET = frozenset(_EVENT_FIELDS)
+_record_fields = itemgetter(*_EVENT_FIELDS)
 
 
 class ForensicEvent:
@@ -57,8 +62,8 @@ class ForensicEvent:
     is the binding's owner when the request arrived, which is what lets
     detectors judge a transition without replaying history.
 
-    A ``__slots__`` record (one per watched exchange, always on, so
-    allocation is on the cloud hot path); treat instances as immutable.
+    A ``__slots__`` read-side view, built from the timeline's stored
+    row only for sinks and readers; treat instances as immutable.
 
     ``decision_trace`` is *volatile* evidence: the PDP's ordered rule
     trail for the exchange (``rule:pass>rule:deny(code)``).  It rides on
@@ -121,17 +126,23 @@ class ForensicEvent:
 
 
 class ForensicTimeline(RecordStoreBase):
-    """Append-only, per-device ordered evidence of binding exchanges."""
+    """Append-only, per-device ordered evidence of binding exchanges.
+
+    Each event is stored as one row: an exact tuple of the event's
+    ``str``/``float``/``int``/``bool`` fields in constructor order, which
+    the cyclic collector untracks at its first pass.  A row's position
+    is its seq, so a seq is looked up by index and a record whose seq
+    would leave a gap is refused.  :class:`ForensicEvent` objects are
+    built only for sinks and readers.
+    """
 
     state_name = "forensics"
     durable = True
 
     def __init__(self) -> None:
-        self._events: List[ForensicEvent] = []
-        self._by_key: Dict[str, int] = {}
+        self._rows: List[tuple] = []
         self._by_device: Dict[str, List[int]] = {}
         self._sinks: List[ForensicSink] = []
-        self._next_seq = 0
 
     # -- live recording ------------------------------------------------------
 
@@ -163,69 +174,58 @@ class ForensicTimeline(RecordStoreBase):
         bound_before: str,
         replaced: bool = False,
         decision_trace: str = "",
-    ) -> ForensicEvent:
+    ) -> None:
         """Append one live event, journal it, and feed the sinks."""
-        event = ForensicEvent(
-            seq=self._next_seq,
-            time=time,
-            device_id=device_id,
-            kind=kind,
-            summary=summary,
-            source=source,
-            origin_ip=origin_ip,
-            trace_id=trace_id,
-            span_id=span_id,
-            outcome=outcome,
-            actor=actor,
-            bound_before=bound_before,
-            replaced=replaced,
-            decision_trace=decision_trace,
+        rows = self._rows
+        seq = len(rows)
+        row = (
+            seq, time, device_id, kind, summary, source, origin_ip, trace_id,
+            span_id, outcome, actor, bound_before, replaced, decision_trace,
         )
-        self._append(event)
+        rows.append(row)
+        self._by_device.setdefault(device_id, []).append(seq)
         # Lazy serialization: the record dict is only materialized when a
         # write-ahead journal is actually bound — the always-on unjournaled
         # case (every campaign world) pays just the churn bump.
         if self._journal_write is not None:
-            self._record_put(self.to_record(event))
+            self._record_put(dict(zip(_EVENT_FIELDS, row)))
         else:
             self._note_mutation()
         if self._sinks:
+            event = ForensicEvent(*row)
             for sink in self._sinks:
                 sink(event)
-        return event
 
     # -- read access ---------------------------------------------------------
 
-    def events(self) -> List[ForensicEvent]:
-        """Every event in sequence order."""
-        return list(self._events)
+    def events(self, start: int = 0) -> List[ForensicEvent]:
+        """Every event from seq *start* on, in sequence order."""
+        return [ForensicEvent(*row) for row in self._rows[start:]]
 
     def timeline(self, device_id: str) -> List[ForensicEvent]:
         """The ordered evidence for one device shadow."""
-        return [self._events[i] for i in self._by_device.get(device_id, [])]
+        rows = self._rows
+        return [ForensicEvent(*rows[i]) for i in self._by_device.get(device_id, [])]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     # -- internals -----------------------------------------------------------
 
-    def _append(self, event: ForensicEvent) -> None:
-        key = self._key_for_seq(event.seq)
-        if key in self._by_key:
-            # Replay upsert of an already-present seq: evidence records
-            # are immutable, so an idempotent overwrite keeps indices.
-            self._events[self._by_key[key]] = event
-        else:
-            self._by_key[key] = len(self._events)
-            self._events.append(event)
-            self._by_device.setdefault(event.device_id, []).append(
-                self._by_key[key]
-            )
-        self._next_seq = max(self._next_seq, event.seq + 1)
-
     @staticmethod
-    def _key_for_seq(seq: int) -> str:
-        return f"e:{seq:08d}"
+    def _row_of(record: Record) -> tuple:
+        """Validate one record and turn it into a row (no decision trail)."""
+        if type(record) is not dict or record.keys() != _FIELD_SET:
+            names = set(record) if isinstance(record, dict) else set()
+            raise ConfigurationError(
+                f"forensics record {record!r}: missing field(s) "
+                f"{sorted(_FIELD_SET - names)}, unknown field(s) "
+                f"{sorted(names - _FIELD_SET)}"
+            )
+        seq = record["seq"]
+        if type(seq) is not int or seq < 0:
+            raise ConfigurationError(f"forensics record has bad seq {seq!r}")
+        return _record_fields(record) + ("",)
 
     # -- StateStore protocol --------------------------------------------------
 
@@ -235,31 +235,43 @@ class ForensicTimeline(RecordStoreBase):
 
     def from_record(self, record: Record) -> Any:
         """Decode one record back into a :class:`ForensicEvent`."""
-        return ForensicEvent(**record)
+        return ForensicEvent(*self._row_of(record))
 
     def record_key(self, record: Record) -> str:
         """Events are keyed by zero-padded sequence number."""
-        return self._key_for_seq(int(record["seq"]))
+        return f"e:{int(record['seq']):08d}"
 
     def record_count(self) -> int:
         """Number of stored events."""
-        return len(self._events)
+        return len(self._rows)
 
     def snapshot_state(self) -> List[Record]:
         """Every event record, in sequence order (already sorted)."""
-        return [self.to_record(event) for event in self._events]
+        return [dict(zip(_EVENT_FIELDS, row)) for row in self._rows]
 
-    def apply_record(self, record: Record) -> Any:
+    def apply_record(self, record: Record) -> None:
         """Upsert one event (restore / journal replay / clone).
 
+        A seq already present is overwritten in place (evidence is
+        immutable, so the device index still holds), the next seq is
+        appended, and a later one would leave a gap and is refused.
         Never fires sinks: replayed history is context for
         :meth:`~repro.obs.detect.pipeline.DetectionPipeline.catch_up`,
         not a fresh observation.
         """
-        event = self.from_record(record)
-        self._append(event)
+        row = self._row_of(record)
+        seq, rows = row[0], self._rows
+        if seq < len(rows):
+            rows[seq] = row
+        elif seq == len(rows):
+            rows.append(row)
+            self._by_device.setdefault(row[2], []).append(seq)
+        else:
+            raise ConfigurationError(
+                f"forensics record seq {seq} leaves a gap after "
+                f"{len(rows)} event(s)"
+            )
         self._record_put(record)
-        return event
 
     def discard_record(self, key: str) -> bool:
         """Refuse deletion: the timeline is append-only evidence."""
@@ -267,5 +279,7 @@ class ForensicTimeline(RecordStoreBase):
 
     def find_record(self, key: str) -> Optional[Record]:
         """O(1) lookup of one event record by its ``e:<seq>`` key."""
-        index = self._by_key.get(key)
-        return self.to_record(self._events[index]) if index is not None else None
+        prefix, _, digits = key.partition(":")
+        if prefix != "e" or not digits.isdecimal() or int(digits) >= len(self._rows):
+            return None
+        return dict(zip(_EVENT_FIELDS, self._rows[int(digits)]))

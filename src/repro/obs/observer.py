@@ -41,7 +41,7 @@ class RequestRecord:
 
     Built once at the enforcement point
     (``CloudService.handle_packet``) and filled in as the request runs:
-    the PDP's decision and its evaluation time before the audit entry is
+    the PDP's decision and its evaluation time before the audit row is
     recorded (:meth:`Observer.on_audit` receives the record), then the
     outcome code and the request's one wall-clock duration before
     :meth:`Observer.on_request`.  ``code`` stays ``None`` when an error
@@ -123,11 +123,12 @@ class Observer:
 
     # -- domain hooks (called by the instrumented layers) -------------------
 
-    def on_audit(self, entry: Any, request: Optional[RequestRecord] = None) -> None:
-        """One cloud audit entry was recorded (request handled or sweep).
+    def on_audit(self, row: Any, request: Optional[RequestRecord] = None) -> None:
+        """One cloud audit row was recorded (request handled or sweep).
 
-        *request* is the observed request whose outcome the entry
-        records, when there is one; sweeps and handler-side revocations
+        *row* is the :data:`~repro.cloud.audit.AuditRow` tuple the log
+        stores.  *request* is the observed request whose outcome the
+        row records, when there is one; sweeps and handler-side revocations
         pass none.  Fires inside the request's timed region.
         """
 

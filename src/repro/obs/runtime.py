@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, ContextManager, Dict, Optional, Tuple
 
+from repro.cloud.audit import AuditRow
 from repro.obs.metrics import Counter, LabelKey, MetricsRegistry, label_key
 from repro.obs.observer import Observer, RequestRecord
 from repro.obs.profiler import Profiler
@@ -30,34 +31,34 @@ _SLO_BAD_COUNTERS = {"chaos.drops": "drop", "chaos.timeouts": "timeout"}
 
 
 class ExchangeLeaf(Span):
-    """The exchange span of one audit entry: a zero-duration leaf.
+    """The exchange span of one audit row: a zero-duration leaf.
 
     An observed run keeps one per audited request, so a leaf holds no
-    ``attrs`` dict: it keeps the entry (which the audit log keeps
-    anyway) and the rule trace of the request's decision, and builds
-    ``attrs`` when read.  The trace id is the causal chain id the packet
-    brought in, so per-process span trees can be joined into end-to-end
-    chains; the rule trace explains the outcome code.
+    ``attrs`` dict: it keeps the row (which the audit log keeps anyway)
+    and the rule trace of the request's decision, and builds ``attrs``
+    when read.  The trace id is the causal chain id the packet brought
+    in, so per-process span trees can be joined into end-to-end chains;
+    the rule trace explains the outcome code.
     """
 
-    __slots__ = ("entry", "authz")
+    __slots__ = ("row", "authz")
 
-    def __init__(self, entry: Any, authz: str) -> None:
-        self.name = entry.summary
+    def __init__(self, row: AuditRow, authz: str) -> None:
+        self.name = row[3]
         self.kind = "exchange"
         self.outcome = "ok"
         self.children = ()
         self.wall_ns = 0
-        self.entry = entry
+        self.row = row
         self.authz = authz
 
     @property
     def attrs(self) -> Dict[str, Any]:
         """``source`` and ``outcome``, plus ``trace`` and ``authz`` if set."""
-        entry = self.entry
-        attrs = {"source": entry.source_node, "outcome": entry.outcome}
-        if entry.trace_id:
-            attrs["trace"] = entry.trace_id
+        row = self.row
+        attrs = {"source": row[1], "outcome": row[4]}
+        if row[6]:
+            attrs["trace"] = row[6]
         if self.authz:
             attrs["authz"] = self.authz
         return attrs
@@ -129,8 +130,8 @@ class Observability(Observer):
 
     # -- domain hooks --------------------------------------------------------
 
-    def on_audit(self, entry: Any, request: Optional[RequestRecord] = None) -> None:
-        """Fold one audit entry into message counters (+ exchange leaf).
+    def on_audit(self, row: AuditRow, request: Optional[RequestRecord] = None) -> None:
+        """Fold one audit row into message counters (+ exchange leaf).
 
         Runs inside an observed request's timed region.  Label keys and
         counters are resolved once per (summary, outcome); the leaf's
@@ -146,12 +147,12 @@ class Observability(Observer):
                 "cloud.audit.entries", help="audit entries by (summary, outcome)"
             )
             self._audit_keys = {}
-        pair = (entry.summary, entry.outcome)
+        summary, outcome = pair = row[3:5]
         resolved = self._audit_keys.get(pair)
         if resolved is None:
-            verdict = "cloud.audit.ok" if entry.outcome == "ok" else "cloud.audit.rejected"
+            verdict = "cloud.audit.ok" if outcome == "ok" else "cloud.audit.rejected"
             resolved = self._audit_keys[pair] = (
-                label_key({"summary": entry.summary, "outcome": entry.outcome}),
+                label_key({"summary": summary, "outcome": outcome}),
                 metrics.counter(verdict),
             )
         key, verdict_counter = resolved
@@ -162,7 +163,7 @@ class Observability(Observer):
             self.pdp_red.record("pdp", request.action, "ok", request.pdp_ns / 1000.0)
         if self.trace_messages:
             self.tracer.add_leaf(
-                ExchangeLeaf(entry, decision.trace() if decision is not None else "")
+                ExchangeLeaf(row, decision.trace() if decision is not None else "")
             )
 
     def on_request(self, record: RequestRecord) -> None:
@@ -223,13 +224,14 @@ class Observability(Observer):
         cloud's own append-only log recorded.
         """
         expected: Dict[tuple, int] = {}
-        for entry in audit.entries:
-            key = (("outcome", entry.outcome), ("summary", entry.summary))
+        rejected = 0
+        for row in audit.rows:
+            key = (("outcome", row[4]), ("summary", row[3]))
             expected[key] = expected.get(key, 0) + 1
+            rejected += row[4] != "ok"
         got = self.metrics.counter("cloud.audit.entries").series()
         if {k: float(v) for k, v in expected.items()} != got:
             return False
-        rejected = len(audit.rejected())
         return (
             self.metrics.counter("cloud.audit.ok").total() == len(audit) - rejected
             and self.metrics.counter("cloud.audit.rejected").total() == rejected

@@ -192,8 +192,8 @@ def run_shard(
     detection_score: Optional[Dict[str, Any]] = None
     if pipeline is not None:
         # A chaos CloudRestart replaces fleet.cloud with the recovered
-        # successor; catch_up re-reads whichever cloud finished the run
-        # (seq-deduplicated, so unreplaced clouds are a no-op).
+        # successor; catch_up reads whichever cloud finished the run from
+        # the first unseen seq (an unreplaced cloud has nothing new).
         pipeline.catch_up(fleet.cloud)
         detection_score = score_detection(
             fleet.cloud.forensics.events(), pipeline.alerts

@@ -133,6 +133,35 @@ class TestCli:
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
 
+    @pytest.fixture(scope="class")
+    def saved_snapshot(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("snapshot") / "cloud.json"
+        assert main(["snapshot", "save", str(path), "--vendor", "OZWI",
+                     "--households", "2"]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda first, records: first.pop("seq"), "'seq'"),
+        (lambda first, records: first.pop("kind"), "'kind'"),
+        (lambda first, records: first.update(color="red"), "'color'"),
+        (lambda first, records: first.update(seq="x"), "'x'"),
+        (lambda first, records: records[-1].update(seq=len(records) + 4), "gap"),
+    ], ids=["missing-seq", "missing-kind", "unknown-field", "bad-seq", "seq-gap"])
+    def test_malformed_forensic_record_is_an_error(
+        self, saved_snapshot, mutate, named, tmp_path, capsys
+    ):
+        data = json.loads(json.dumps(saved_snapshot))
+        records = data["stores"]["forensics"]
+        mutate(records[0], records)
+        path = tmp_path / "bad-forensics.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["snapshot", "load", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: forensics record") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -167,6 +167,7 @@ class TestForensicTimeline:
         assert len(store) == 3
         assert [e.seq for e in store.events()] == [0, 1, 2]
         assert [e.kind for e in store.timeline("D1")] == ["bind", "unbind"]
+        assert [e.seq for e in store.events(1)] == [1, 2]
 
     def test_sinks_fire_on_live_record_only(self):
         store = ForensicTimeline()
@@ -321,6 +322,30 @@ class TestPipeline:
             span_id="s3", outcome="ok", actor="mallory", bound_before="alice",
         )
         assert len(pipeline.alerts) == 2  # detached
+
+    def test_catch_up_reads_only_unseen_events(self):
+        store = ForensicTimeline()
+        for seq in range(3):
+            store.record(
+                time=float(seq), device_id="D1", kind="unbind", summary="Unbind",
+                source="attacker:host", origin_ip="9.9.9.9", trace_id=f"T{seq}",
+                span_id=f"s{seq}", outcome="ok", actor="mallory",
+                bound_before="alice",
+            )
+        pipeline = DetectionPipeline()
+        pipeline.process(store.events()[0])
+        requested = []
+        events = store.events
+        store.events = lambda start=0: requested.append(start) or events(start)
+
+        class CloudStub:
+            forensics = store
+
+        pipeline.catch_up(CloudStub())
+        assert requested == [1]  # read from the first unseen seq on
+        assert [a.evidence for a in pipeline.alerts] == [("T0",), ("T1",), ("T2",)]
+        pipeline.catch_up(CloudStub())
+        assert requested == [1, 3] and len(pipeline.alerts) == 3
 
 
 class TestScoring:
