@@ -6,68 +6,21 @@ temperature sensor, fake data of the sensor may turn on or turn off the
 air conditioning system."  This example builds exactly that home — a
 temperature sensor plus an AC smart plug wired together by an
 IFTTT-style rule — and shows one forged status message flipping the AC,
-with no attack against the AC at all.
+with no attack against the AC at all.  It is the same scenario as the
+"§V-B — A1 cascade through an automation rule" section of
+``python -m repro report``, here at another seed.
 
 Run:
     python examples/automation_cascade.py
 """
 
-from repro import Deployment
-from repro.app.automation import AutomationEngine, Rule
-from repro.attacks import RemoteAttacker
-from repro.cloud.policy import DeviceAuthMode, VendorDesign
+from repro.analysis.full_report import render_cascade
 
 
 def main() -> None:
-    # A DevId vendor with public firmware: the A1-exposed corner.
-    design = VendorDesign(
-        name="CascadeVendor", device_type="smart-plug",
-        device_auth=DeviceAuthMode.DEV_ID,
-        device_auth_known=DeviceAuthMode.DEV_ID,
-        firmware_available=True,
-        id_scheme="serial-number",
-    )
-    world = Deployment(design, seed=17)
-    alice = world.victim
-
-    print("setting up Alice's home: AC plug + temperature sensor...")
-    assert world.victim_full_setup()
-    sensor = world.add_victim_device("temp-sensor", label="sensor")
-    assert world.setup_victim_device(sensor)
-    ac_plug = alice.device
-
-    engine = AutomationEngine(world.env, alice.app)
-    engine.add_rule(Rule(
-        name="cool-when-hot",
-        trigger_device=sensor.device_id, metric="temperature_c",
-        op=">", threshold=28.0,
-        action_device=ac_plug.device_id, command="on",
-    ))
-    print(f"rule installed: IF {sensor.device_id}.temperature_c > 28 "
-          f"THEN {ac_plug.device_id}.on")
-
-    world.run_heartbeats(1)
-    engine.evaluate_once()
-    reading = alice.app.query(sensor.device_id).payload["telemetry"]
-    print(f"\nambient reading: {reading['temperature_c']}°C -> "
-          f"AC on: {ac_plug.state['on']} (rule silent)")
-
-    print("\nattacker forges ONE sensor status with a 45°C reading...")
-    mallory = RemoteAttacker(world)
-    mallory.login()
-    mallory.learn_victim_device_id(sensor.device_id)
-    accepted, code, _ = mallory.send(
-        mallory.forge_status({"temperature_c": 45.0})
-    )
-    print(f"  cloud answer: {'accepted' if accepted else code}")
-
-    firings = engine.evaluate_once()
-    world.run_heartbeats(1)
-    print(f"  rule fired: {[f.rule for f in firings]} "
-          f"(observed {firings[0].observed}°C)")
-    print(f"  AC plug is now on: {ac_plug.state['on']}")
-    print("\nthe attacker never touched the AC — the automation did, "
-          "trusting cloud telemetry (Section V-B's cascade effect)")
+    print("Alice's home: AC smart plug + temperature sensor, one rule")
+    print(render_cascade(seed=17))
+    print("\nthe automation trusted cloud telemetry (Section V-B's cascade effect)")
 
 
 if __name__ == "__main__":

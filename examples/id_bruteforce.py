@@ -18,7 +18,6 @@ from repro.identity import (
     RandomDeviceId,
     SerialDeviceId,
     analyze,
-    infer_scheme,
     render_report,
 )
 
@@ -39,12 +38,12 @@ def main() -> None:
     mallory = RemoteAttacker(world)
     mallory.login()
 
-    # reconnaissance: infer the scheme from the attacker's OWN unit
+    # reconnaissance: the attacker's OWN unit shows the ID format
     own_id = world.attacker_party.device.device_id
-    guess = infer_scheme([own_id])
+    space = analyze(world.id_scheme)
     print(f"  attacker's own serial: {own_id}")
-    print(f"  inferred scheme: {guess.detail}")
-    print(f"  enumerable: {guess.enumerable}")
+    print(f"  search space: {space.space:,} IDs ({space.bits:.1f} bits)")
+    print(f"  enumerable within an hour: {space.within_one_hour}")
     stats = enumerate_ids(mallory, world.id_scheme, max_probes=64)
     print(f"  probed {stats.attempted} candidate IDs "
           f"({stats.virtual_seconds:.3f}s at 3000 req/s)")

@@ -1,11 +1,6 @@
 """Analysis layer: surface exploration, vendor evaluation, reporting."""
 
 from repro.analysis.advisor import Advice, advise, verify_advice
-from repro.analysis.conformance import (
-    ConformanceReport,
-    check_deployment,
-    check_shadow,
-)
 from repro.analysis.design_space import (
     conformance_diff,
     enumerate_design_space,
@@ -51,7 +46,6 @@ from repro.analysis.traces import (
 __all__ = [
     "AbstractState",
     "Advice",
-    "ConformanceReport",
     "DetectionReport",
     "advise",
     "probe_attack_detectability",
@@ -60,9 +54,7 @@ __all__ = [
     "verify_advice",
     "Finding",
     "SafetyReport",
-    "check_deployment",
     "check_safety",
-    "check_shadow",
     "compare_designs",
     "conformance_diff",
     "find_trace",

@@ -11,6 +11,124 @@ from __future__ import annotations
 from typing import List
 
 
+def render_playbooks(seed: int) -> str:
+    """Section VI-A: what each studied vendor's own-app traffic teaches.
+
+    The attacker sets up and removes their *own* device behind the MITM
+    proxy; the capture yields the Bind/Unbind shapes to replay and the
+    field that carries the device ID.
+    """
+    from repro.attacks.attacker import RemoteAttacker
+    from repro.attacks.traffic_analysis import analyze_own_traffic
+    from repro.scenario import Deployment
+    from repro.vendors import STUDIED_VENDORS
+
+    lines = [f"{'vendor':<13} {'id field':<10} {'bind shape':<24} unbind shape"]
+    playbooks = []
+    for design in STUDIED_VENDORS:
+        deployment = Deployment(design, seed=seed)
+        playbook = analyze_own_traffic(deployment, RemoteAttacker(deployment))
+        playbooks.append(playbook)
+        lines.append(
+            f"{design.name:<13} {playbook.id_field or '-':<10} "
+            f"{playbook.bind_shape or '-':<24} {playbook.unbind_shape or '-'}"
+        )
+    located = sum(p.id_field == "device_id" for p in playbooks)
+    binds = sum(p.bind_shape is not None for p in playbooks)
+    lines.append(
+        f"=> {located}/{len(playbooks)} playbooks locate the device ID in "
+        f"'device_id'; {binds}/{len(playbooks)} observed a Bind to replay"
+    )
+    return "\n".join(lines)
+
+
+def render_stealth(seed: int) -> str:
+    """The abstract's "stealthy device control": what the victim sees
+    after each control-state attack on the studied vendors."""
+    from repro.analysis.stealth import stealth_survey
+    from repro.vendors import STUDIED_VENDORS
+
+    rows = [
+        report for design in STUDIED_VENDORS
+        for report in stealth_survey(design, seed=seed)
+    ]
+    successes = [
+        r for r in rows if r.attack_outcome in ("yes", "O", "escalated")
+    ]
+    lines = [
+        f"{len(rows)} control-state attack runs over {len(STUDIED_VENDORS)} "
+        f"studied vendors; {len(successes)} succeeded (yes, O or escalated):"
+    ]
+    lines.extend(f"  {r.vendor:<13} {r.line()}" for r in successes)
+    notified = sum(bool(r.notifications) for r in successes)
+    stealthy = sum(r.stealthy_success for r in rows)
+    lines.append(
+        f"=> {notified} of {len(successes)} successful attacks produced a "
+        f"user notification; {stealthy} confirmed successes left no app "
+        f"symptom either"
+    )
+    return "\n".join(lines)
+
+
+def render_cascade(seed: int) -> str:
+    """Section V-B: forged sensor data switches the air conditioner.
+
+    A DevId vendor with public firmware (the A1-exposed corner); the
+    victim's home has an AC smart plug and a temperature sensor joined
+    by an IFTTT-style rule.  The attacker forges one sensor Status and
+    never addresses the AC.
+    """
+    from repro.app.automation import AutomationEngine, Rule
+    from repro.attacks.attacker import RemoteAttacker
+    from repro.cloud.policy import DeviceAuthMode, VendorDesign
+    from repro.scenario import Deployment
+
+    design = VendorDesign(
+        name="CascadeVendor", device_type="smart-plug",
+        device_auth=DeviceAuthMode.DEV_ID,
+        device_auth_known=DeviceAuthMode.DEV_ID,
+        firmware_available=True,
+        id_scheme="serial-number",
+    )
+    world = Deployment(design, seed=seed)
+    victim = world.victim
+    world.victim_full_setup()
+    sensor = world.add_victim_device("temp-sensor", label="sensor")
+    world.setup_victim_device(sensor)
+    ac_plug = victim.device
+    engine = AutomationEngine(world.env, victim.app)
+    engine.add_rule(Rule(
+        name="cool-when-hot",
+        trigger_device=sensor.device_id, metric="temperature_c",
+        op=">", threshold=28.0,
+        action_device=ac_plug.device_id, command="on",
+    ))
+    world.run_heartbeats(1)
+    quiet = engine.evaluate_once()
+    reading = victim.app.query(sensor.device_id).payload["telemetry"]
+    before = ac_plug.state["on"]
+
+    attacker = RemoteAttacker(world)
+    attacker.login()
+    attacker.learn_victim_device_id(sensor.device_id)
+    accepted, code, _ = attacker.send(
+        attacker.forge_status({"temperature_c": 45.0})
+    )
+    fired = engine.evaluate_once()
+    world.run_heartbeats(1)
+    return "\n".join([
+        f"rule cool-when-hot: IF {sensor.device_id}.temperature_c > 28 "
+        f"THEN {ac_plug.device_id}.on",
+        f"ambient reading {reading['temperature_c']} C: "
+        f"{len(quiet)} firing(s), AC plug on: {before}",
+        f"attacker forges one sensor Status (temperature_c=45.0): "
+        f"{'accepted' if accepted else code}",
+        f"rule firings: {', '.join(f'{f.rule} (observed {f.observed})' for f in fired) or 'none'}",
+        f"=> AC plug on: {before} -> {ac_plug.state['on']}; "
+        f"the attacker never addressed the AC",
+    ])
+
+
 def render_full_report(seed: int = 3) -> str:
     """Build the complete artifact report (takes a few seconds)."""
     from repro.analysis.advisor import advise
@@ -62,6 +180,9 @@ def render_full_report(seed: int = 3) -> str:
     schemes = [SerialDeviceId(digits=6), SerialDeviceId(digits=7),
                MacDeviceId("a4:77:33"), RandomDeviceId(hex_chars=32)]
     section("Device-ID enumerability", render_report([analyze(s) for s in schemes]))
+    section("§VI-A — forgery playbooks from own-app traffic", render_playbooks(seed))
+    section("Attack stealth (what the victim sees)", render_stealth(seed))
+    section("§V-B — A1 cascade through an automation rule", render_cascade(seed))
 
     section(
         "Recommended designs under the battery",

@@ -296,7 +296,7 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
         detect=args.detect,
     )
     design = vendor(args.vendor)
-    repeats = max(1, args.repeat)
+    repeats = args.repeat
     # One pool for every repeat, so repeats warm-start.
     with WorkerPool(workers=args.workers) if args.workers > 1 else nullcontext() as pool:
         results = [
@@ -529,9 +529,8 @@ def _cmd_designs(args: argparse.Namespace) -> str:
 def _cmd_snapshot(args: argparse.Namespace) -> str:
     import json
 
-    from repro.cloud.persistence import snapshot_json
     from repro.cloud.service import CloudService
-    from repro.cloud.state import migrate_snapshot, snapshot_store_counts
+    from repro.cloud.state import build_snapshot, check_snapshot, snapshot_store_counts
     from repro.core.errors import ConfigurationError
     from repro.fleet import FleetDeployment
     from repro.net.network import Network
@@ -544,37 +543,44 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
         )
         bound = fleet.setup_all()
         fleet.run(args.run_seconds)
-        document = snapshot_json(fleet.cloud)
-        with open(args.path, "w", encoding="utf-8") as handle:
-            handle.write(document + "\n")
+        document = json.dumps(build_snapshot(fleet.cloud), sort_keys=True)
+        try:
+            with open(args.path, "w", encoding="utf-8") as handle:
+                handle.write(document + "\n")
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write snapshot {args.path}: {exc.strerror}"
+            ) from None
         return (
             f"saved {fleet.design.name} snapshot to {args.path} "
             f"({bound}/{args.households} household(s) bound, "
             f"{len(document)} bytes)"
         )
 
-    with open(args.path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(args.path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        except ValueError as exc:  # JSONDecodeError or undecodable bytes
-            raise ConfigurationError(
-                f"{args.path} is not a JSON snapshot: {exc}"
-            ) from None
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read snapshot {args.path}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:  # JSONDecodeError or undecodable bytes
+        raise ConfigurationError(
+            f"{args.path} is not a JSON snapshot: {exc}"
+        ) from None
+    check_snapshot(data)
 
     if args.action == "inspect":
-        migrated = migrate_snapshot(data)
-        counts = snapshot_store_counts(data)
         lines = [
             f"snapshot {args.path}:",
-            f"  version: {data.get('version')}"
-            + ("" if data.get("version") == migrated["version"]
-               else f" (migrates to v{migrated['version']})"),
-            f"  design:  {migrated.get('design')}",
-            f"  time:    t={migrated.get('time', 0.0):.3f}",
+            f"  version: {data['version']}",
+            f"  design:  {data.get('design')}",
+            f"  time:    t={data.get('time', 0.0):.3f}",
             "  stores:",
         ]
         lines.extend(
-            f"    {name:<10} {count} record(s)" for name, count in counts.items()
+            f"    {name:<10} {count} record(s)"
+            for name, count in snapshot_store_counts(data).items()
         )
         return "\n".join(lines)
 
@@ -583,8 +589,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
     env = Environment(seed=args.seed)
     network = Network(env)
     cloud = CloudService.restore(env, network, design, data)
-    resaved = json.loads(snapshot_json(cloud))
-    round_trip = resaved["stores"] == migrate_snapshot(data)["stores"]
+    resaved = json.loads(json.dumps(build_snapshot(cloud), sort_keys=True))
+    round_trip = resaved["stores"] == data["stores"]
     lines = [
         f"restored {design.name} snapshot from {args.path}:",
     ]
@@ -926,6 +932,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The least value each numeric option accepts, by argparse ``dest``.
+_ARGUMENT_FLOORS = {
+    "probes": 0,
+    "seconds": 0,
+    "run_seconds": 0,
+    "intensity": 0,
+    "limit": 0,
+    "budget": 0,
+    "repeat": 1,
+}
+
+
+def _check_arguments(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric options before any command runs."""
+    from repro.core.errors import ConfigurationError
+
+    for name, floor in _ARGUMENT_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and not value >= floor:
+            raise ConfigurationError(
+                f"--{name.replace('_', '-')} must be at least {floor}, not {value:g}"
+            )
+    rate = getattr(args, "rate", None)
+    if rate is not None and not rate > 0:
+        raise ConfigurationError(f"--rate must be positive, not {rate:g}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     from repro.core.errors import ConfigurationError
@@ -933,6 +966,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_arguments(args)
         print(args.run(args))
     except (KeyError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

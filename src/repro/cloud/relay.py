@@ -55,7 +55,7 @@ class Relay(RecordStoreBase):
     persists **schedules only**: command queues and latest telemetry are
     in-flight data that a restart legitimately drops (the device re-polls
     and re-reports), while a schedule is durable configuration the user
-    expects to survive — exactly the split v1 snapshots already made.
+    expects to survive.
     """
 
     state_name = "relay"

@@ -237,7 +237,7 @@ class CloudService:
 
         Replaces the old ``CloudService.__new__`` restart hack: the
         successor is wired exactly like any other cloud (handlers, sweep,
-        observer) and then loads the (v1 or v2) snapshot *data*.  Any
+        observer) and then loads the v2 snapshot *data*.  Any
         previous holder of *node_name* must have been :meth:`shutdown`
         first; a leftover node of that name is replaced.
         """

@@ -133,7 +133,7 @@ class ShadowStore(RecordStoreBase):
 
         The record names the *facts* (online, bound user, marks), and the
         decode replays them through the Figure 2 machine — so a cloned
-        shadow has real history and fires the same observer transitions a
+        shadow takes real transitions and fires the same observer hooks a
         live binding flow would.
         """
         shadow = DeviceShadow(record["device_id"])

@@ -11,8 +11,8 @@ See ``docs/state.md``.  Public surface:
   injection);
 * :func:`~repro.cloud.state.snapshot.build_snapshot` /
   :func:`~repro.cloud.state.snapshot.load_snapshot` /
-  :func:`~repro.cloud.state.snapshot.migrate_snapshot` — self-describing
-  snapshot v2 plus the v1 migration shim;
+  :func:`~repro.cloud.state.snapshot.check_snapshot` — self-describing
+  snapshot v2, the only snapshot format;
 * :func:`~repro.cloud.state.journal.recover_from_journal` — replay-based
   crash recovery.
 """
@@ -38,8 +38,8 @@ from repro.cloud.state.protocol import (
 from repro.cloud.state.snapshot import (
     SNAPSHOT_VERSION,
     build_snapshot,
+    check_snapshot,
     load_snapshot,
-    migrate_snapshot,
     rebuild_shadow_projection,
     snapshot_store_counts,
 )
@@ -56,10 +56,10 @@ __all__ = [
     "StateBackend",
     "StateStore",
     "build_snapshot",
+    "check_snapshot",
     "load_snapshot",
     "merge_state_counts",
     "meta_entry",
-    "migrate_snapshot",
     "rebuild_shadow_projection",
     "recover_from_journal",
     "snapshot_store_counts",

@@ -3,11 +3,10 @@
 The simulated cloud keeps its authoritative binding state in seven
 bespoke stores (accounts, tokens, device registry, bindings, shares,
 shadows, relay, events).  Before this layer existed, each had its own
-hand-enumerated serialization in ``cloud/persistence.py`` and the fleet
-clone fast path mutated store internals directly — exactly the class of
-cross-component state inconsistency the logic-bug literature warns
-about.  :class:`StateStore` is the single contract they all implement
-instead:
+hand-enumerated serialization and the fleet clone fast path mutated
+store internals directly — exactly the class of cross-component state
+inconsistency the logic-bug literature warns about.
+:class:`StateStore` is the single contract they all implement instead:
 
 * **typed records** — ``to_record``/``from_record`` codecs turn one
   domain object into one JSON-able dict and back;

@@ -1,11 +1,8 @@
 """Self-describing snapshot v2: every store contributes its own section.
 
-Snapshot v1 (the original ``cloud/persistence.py``) hand-enumerated
-every field of every store in one 120-line function — adding a store
-column meant editing the serializer, the deserializer and every test
-fixture in lockstep.  Version 2 is generic: the cloud asks each durable
-:class:`~repro.cloud.state.protocol.StateStore` for its records and
-stores them under the store's own ``state_name``::
+Each durable :class:`~repro.cloud.state.protocol.StateStore` serializes
+its own records under its ``state_name``, so adding a store column
+touches only that store::
 
     {
       "version": 2,
@@ -30,18 +27,17 @@ of the registry and the binding table, and a cloud restart is a *mass
 offline event* (Figure 2's timeout arcs) — so :func:`load_snapshot`
 rebuilds every shadow in its offline state (``bound`` for bound
 devices, ``initial`` otherwise) and lets the next heartbeats bring the
-fleet back, exactly as v1 did.
+fleet back.
 
-v1 snapshots still load: :func:`migrate_snapshot` lifts them to the v2
-shape (the ``schedules`` dict becomes ``relay`` records; the ``events``
-section, which v1 never captured, migrates empty).
+Version 2 is the only format: :func:`check_snapshot` rejects any other
+version, and any document whose shape is wrong, with a
+:class:`~repro.core.errors.ConfigurationError` naming the field.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.cloud.state.protocol import Record
 from repro.core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,33 +61,38 @@ def build_snapshot(cloud: "CloudService") -> Dict[str, Any]:
     }
 
 
-def migrate_snapshot(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Lift a snapshot to the v2 shape (v2 passes through unchanged)."""
+def check_snapshot(data: Any) -> Dict[str, Any]:
+    """Return *data* if it is a v2 snapshot document.
+
+    Raises :class:`ConfigurationError` naming the first field that is
+    missing or of the wrong shape.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"snapshot must be a JSON object, not {type(data).__name__}"
+        )
     version = data.get("version")
-    if version == SNAPSHOT_VERSION:
-        return data
-    if version == 1:
-        schedules = data.get("schedules", {})
-        stores: Dict[str, List[Record]] = {
-            "accounts": list(data.get("accounts", [])),
-            "tokens": list(data.get("tokens", [])),
-            "devices": list(data.get("devices", [])),
-            "bindings": list(data.get("bindings", [])),
-            "shares": list(data.get("shares", [])),
-            "relay": [
-                {"device_id": device_id, "schedule": dict(schedule)}
-                for device_id, schedule in sorted(schedules.items())
-            ],
-            # v1 never captured notification feeds; they migrate empty.
-            "events": [],
-        }
-        return {
-            "version": SNAPSHOT_VERSION,
-            "design": data.get("design"),
-            "time": data.get("time", 0.0),
-            "stores": stores,
-        }
-    raise ConfigurationError(f"unsupported snapshot version {version!r}")
+    if version != SNAPSHOT_VERSION:
+        raise ConfigurationError(
+            f"snapshot version {version!r} is not supported "
+            f"(only version {SNAPSHOT_VERSION} loads)"
+        )
+    if not isinstance(data.get("time", 0.0), (int, float)):
+        raise ConfigurationError("snapshot 'time' must be a number")
+    stores = data.get("stores")
+    if not isinstance(stores, dict):
+        raise ConfigurationError(
+            "snapshot has no 'stores' object" if stores is None
+            else f"snapshot 'stores' must be an object, not {type(stores).__name__}"
+        )
+    for name, records in stores.items():
+        if not isinstance(records, list) or not all(
+            isinstance(record, dict) for record in records
+        ):
+            raise ConfigurationError(
+                f"snapshot store {name!r} must be a list of record objects"
+            )
+    return data
 
 
 def rebuild_shadow_projection(cloud: "CloudService") -> None:
@@ -111,8 +112,8 @@ def rebuild_shadow_projection(cloud: "CloudService") -> None:
 
 
 def load_snapshot(cloud: "CloudService", data: Dict[str, Any]) -> None:
-    """Load a (v1 or v2) snapshot into a *fresh* cloud of the same design."""
-    data = migrate_snapshot(data)
+    """Load a v2 snapshot into a *fresh* cloud of the same design."""
+    data = check_snapshot(data)
     if data.get("design") != cloud.design.name:
         raise ConfigurationError(
             f"snapshot is for design {data.get('design')!r}, "
@@ -120,7 +121,7 @@ def load_snapshot(cloud: "CloudService", data: Dict[str, Any]) -> None:
         )
     if cloud.accounts.record_count() or cloud.bindings.count():
         raise ConfigurationError("restore requires a fresh cloud instance")
-    sections = data.get("stores", {})
+    sections = data["stores"]
     stores = cloud.state_stores()
     unknown = set(sections) - set(stores)
     if unknown:
@@ -137,8 +138,8 @@ def load_snapshot(cloud: "CloudService", data: Dict[str, Any]) -> None:
 
 
 def snapshot_store_counts(data: Dict[str, Any]) -> Dict[str, int]:
-    """Per-section record counts of a (v1 or v2) snapshot dict."""
-    migrated = migrate_snapshot(data)
+    """Per-section record counts of a v2 snapshot dict."""
     return {
-        name: len(records) for name, records in sorted(migrated["stores"].items())
+        name: len(records)
+        for name, records in sorted(check_snapshot(data)["stores"].items())
     }

@@ -22,7 +22,7 @@ plus the implicit offline transitions when status messages stop
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.core.states import ShadowEvent, ShadowState, from_flags
@@ -87,7 +87,6 @@ class DeviceShadow:
     connection_id: Optional[str] = None
     reported_model: str = ""
     reported_firmware: str = ""
-    history: List[TransitionRecord] = field(default_factory=list)
     #: optional hook fired after each *real* transition (observability);
     #: set by :class:`~repro.cloud.shadows.ShadowStore` when instrumented
     on_transition: Optional[Callable[["DeviceShadow", TransitionRecord], None]] = field(
@@ -100,14 +99,10 @@ class DeviceShadow:
         """Apply *event* at simulation *time* and return the new state."""
         before = self.state
         after = next_state(before, event)
-        record: Optional[TransitionRecord] = None
-        if after is not before:
-            record = TransitionRecord(time, event, before, after)
-            self.history.append(record)
         self.state = after
         self._check_invariants()
-        if record is not None and self.on_transition is not None:
-            self.on_transition(self, record)
+        if after is not before and self.on_transition is not None:
+            self.on_transition(self, TransitionRecord(time, event, before, after))
         return after
 
     def mark_status(self, time: float, connection_id: Optional[str] = None) -> ShadowState:

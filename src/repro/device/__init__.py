@@ -17,24 +17,17 @@ from repro.device.local import (
     DeliverUserCredential,
     LocalAck,
 )
-from repro.device.lock import SmartLock
 from repro.device.plug import SmartPlug, SmartSocket
-from repro.device.sensors import FireAlarm, TemperatureSensor
-from repro.device.thermostat import Thermostat
-from repro.hub.hub import HubFirmware
+from repro.device.sensors import TemperatureSensor
 
 #: Map from a vendor profile's ``device_type`` to the firmware class.
 DEVICE_CLASSES = {
-    "zigbee-hub": HubFirmware,
     "smart-plug": SmartPlug,
     "smart-socket": SmartSocket,
     "smart-bulb": SmartBulb,
     "bulb-bridge": ButtonBulbBridge,
     "ip-camera": IpCamera,
-    "smart-lock": SmartLock,
-    "fire-alarm": FireAlarm,
     "temp-sensor": TemperatureSensor,
-    "thermostat": Thermostat,
 }
 
 __all__ = [
@@ -46,18 +39,14 @@ __all__ = [
     "DeliverUserCredential",
     "DeviceFirmware",
     "ExecutedCommand",
-    "FireAlarm",
     "FirmwareImage",
-    "HubFirmware",
     "IpCamera",
     "LocalAck",
     "ProtocolKnowledge",
     "SmartBulb",
-    "SmartLock",
     "SmartPlug",
     "SmartSocket",
     "TemperatureSensor",
-    "Thermostat",
     "image_for",
     "reverse_engineer",
     "try_reverse_engineer",

@@ -40,20 +40,6 @@ class Thermometer:
         return round(self.base_c + drift + self._rng.gauss(0, 0.2), 2)
 
 
-class SmokeDetector:
-    """Smoke concentration; normally near zero."""
-
-    def __init__(self, rng: DeterministicRandom) -> None:
-        self._rng = rng
-        self.alarm_threshold = 50.0
-
-    def read(self) -> float:
-        return round(abs(self._rng.gauss(1.0, 0.5)), 2)
-
-    def is_alarm(self, reading: float) -> bool:
-        return reading >= self.alarm_threshold
-
-
 class MotionSensor:
     """Binary motion events with a configurable activity rate."""
 

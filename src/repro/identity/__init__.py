@@ -17,7 +17,6 @@ from repro.identity.entropy import (
     search_space_bits,
     time_to_enumerate,
 )
-from repro.identity.inference import SchemeGuess, infer_scheme, recommended_probe_order
 from repro.identity.keys import (
     KeyPair,
     PrivateKey,
@@ -35,11 +34,8 @@ __all__ = [
     "PrivateKey",
     "PublicKey",
     "RandomDeviceId",
-    "SchemeGuess",
     "SearchSpaceReport",
     "SerialDeviceId",
-    "infer_scheme",
-    "recommended_probe_order",
     "TokenKind",
     "TokenRecord",
     "TokenService",

@@ -52,7 +52,7 @@ class TokenService:
 
     #: StateStore section name (tokens live in cloud snapshots/journals).
     state_name = "tokens"
-    #: Tokens must survive a restart (v1 already persisted them).
+    #: Tokens must survive a restart.
     durable = True
 
     def __init__(self, rng: DeterministicRandom, token_length: int = 32) -> None:

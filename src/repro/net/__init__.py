@@ -7,7 +7,6 @@ from repro.net.address import (
     IpAddress,
     MacAddress,
 )
-from repro.net.capture import CaptureEntry, PacketCapture
 from repro.net.discovery import SsdpDescription, SsdpSearch, ssdp_discover
 from repro.net.lan import DhcpLease, Lan, Router
 from repro.net.mitm import MitmProxy
@@ -16,7 +15,6 @@ from repro.net.packet import Exchange, Packet
 from repro.net.provisioning import ProvisioningAir, WifiCredentials
 
 __all__ = [
-    "CaptureEntry",
     "DhcpLease",
     "Exchange",
     "FLEET_IP_BLOCKS",
@@ -28,7 +26,6 @@ __all__ = [
     "MitmProxy",
     "Network",
     "Packet",
-    "PacketCapture",
     "ProvisioningAir",
     "Router",
     "SsdpDescription",

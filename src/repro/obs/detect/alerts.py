@@ -8,8 +8,8 @@ tying it back to the exact causal chains in the timeline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 #: Alert severities, mildest first.
 SEVERITIES = ("info", "warning", "critical")
@@ -26,18 +26,3 @@ class Alert:
     source: str  # implicated sending node
     reason: str  # human-readable one-liner
     evidence: Tuple[str, ...] = ()  # trace ids of the triggering events
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able form (evidence becomes a list)."""
-        data = asdict(self)
-        data["evidence"] = list(self.evidence)
-        return data
-
-    def line(self) -> str:
-        """One fixed-width log line for reports."""
-        mark = {"info": "i", "warning": "?", "critical": "!"}.get(self.severity, "?")
-        where = self.device_id or self.source
-        return (
-            f"{mark} [t={self.time:8.3f}] {self.rule:<16} {where:<22} "
-            f"{self.reason}"
-        )

@@ -162,6 +162,55 @@ class TestCli:
         assert err.startswith("error: forensics record") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("document, named", [
+        ([1, 2], "JSON object"),
+        ({"version": 2, "design": "OZWI", "stores": {"bindings": 5}},
+         "'bindings'"),
+        ({"version": 2, "design": "OZWI", "stores": {"bindings": [5]}},
+         "'bindings'"),
+        ({"version": 2, "design": "OZWI"}, "'stores'"),
+        ({"version": 2, "design": "OZWI", "stores": [1]}, "'stores'"),
+        ({"version": 2, "design": "OZWI", "time": "x", "stores": {}}, "'time'"),
+        ({"version": 1, "design": "OZWI"}, "version 1"),
+    ], ids=["top-level-list", "section-not-list", "record-not-object",
+            "no-stores", "stores-list", "bad-time", "version-1"])
+    @pytest.mark.parametrize("action", ["load", "inspect"])
+    def test_malformed_snapshot_document_is_an_error(
+        self, action, document, named, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = main(["snapshot", action, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: snapshot") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["campaign", "--probes", "-3"], "--probes"),
+        (["obs", "--probes", "-3"], "--probes"),
+        (["detect", "--probes", "-3"], "--probes"),
+        (["slo", "--seconds", "-1"], "--seconds"),
+        (["chaos", "run", "lossy-lan", "--seconds", "-1"], "--seconds"),
+        (["snapshot", "save", "unused.json", "--run-seconds", "-4"],
+         "--run-seconds"),
+        (["campaign", "--intensity", "-1"], "--intensity"),
+        (["entropy", "--rate", "0"], "--rate"),
+        (["designs", "list", "--limit", "-1"], "--limit"),
+        (["fuzz", "run", "--budget", "-1"], "--budget"),
+        (["campaign", "--repeat", "0"], "--repeat"),
+        (["snapshot", "load", "{tmp}/missing.json"], "No such file"),
+        (["snapshot", "inspect", "{tmp}"], "Is a directory"),
+        (["snapshot", "save", "{tmp}/missing/cloud.json", "--households", "1"],
+         "No such file"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_bad_argument_is_an_error(self, argv, named, tmp_path, capsys):
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

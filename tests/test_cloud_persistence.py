@@ -1,11 +1,17 @@
-"""Tests for cloud snapshot/restore: a restart must not lose bindings."""
+"""Tests for cloud snapshot/restore: a restart must not lose bindings.
+
+A cloud restart is a *mass offline event*: every shadow that was online
+drops to its offline state (Figure 2's timeout arcs) and devices
+re-enter via their next heartbeat.  These tests check that the restart
+is invisible to bound users apart from that blip.
+"""
 
 import json
 
 import pytest
 
-from repro.cloud.persistence import SNAPSHOT_VERSION, restore, snapshot, snapshot_json
 from repro.cloud.service import CloudService
+from repro.cloud.state import SNAPSHOT_VERSION, build_snapshot, load_snapshot
 from repro.core.errors import ConfigurationError
 from repro.scenario import Deployment
 from repro.vendors import vendor
@@ -20,7 +26,7 @@ def build_world(design_name="D-LINK", seed=81):
 
 def restart_cloud(world) -> CloudService:
     """Simulate a cloud restart: snapshot, shut down, constructor-restore."""
-    data = snapshot(world.cloud)
+    data = build_snapshot(world.cloud)
     world.cloud.shutdown()
     fresh = CloudService.restore(world.env, world.network, world.design, data)
     world.cloud = fresh
@@ -30,7 +36,7 @@ def restart_cloud(world) -> CloudService:
 class TestSnapshot:
     def test_snapshot_is_json_serializable(self):
         world = build_world()
-        text = snapshot_json(world.cloud)
+        text = json.dumps(build_snapshot(world.cloud), sort_keys=True)
         data = json.loads(text)
         assert data["version"] == SNAPSHOT_VERSION
         assert data["design"] == "D-LINK"
@@ -39,7 +45,7 @@ class TestSnapshot:
 
     def test_snapshot_captures_schedule_and_post_token(self):
         world = build_world()
-        data = snapshot(world.cloud)
+        data = build_snapshot(world.cloud)
         binding = data["stores"]["bindings"][0]
         assert binding["post_token"] is not None
         assert binding["device_confirmed"] is True
@@ -48,7 +54,7 @@ class TestSnapshot:
 
     def test_snapshot_excludes_volatile_shadows(self):
         world = build_world()
-        data = snapshot(world.cloud)
+        data = build_snapshot(world.cloud)
         assert "shadows" not in data["stores"]
 
 
@@ -88,52 +94,22 @@ class TestRestore:
 
     def test_restore_rejects_wrong_design(self):
         world = build_world()
-        data = snapshot(world.cloud)
+        data = build_snapshot(world.cloud)
         other = Deployment(vendor("Belkin"), seed=82)
         with pytest.raises(ConfigurationError):
-            restore(other.cloud, data)
+            load_snapshot(other.cloud, data)
 
     def test_restore_rejects_dirty_cloud(self):
         world = build_world()
-        data = snapshot(world.cloud)
+        data = build_snapshot(world.cloud)
         with pytest.raises(ConfigurationError):
-            restore(world.cloud, data)  # same, already-populated instance
+            load_snapshot(world.cloud, data)  # same, already-populated instance
 
     def test_restore_rejects_unknown_version(self):
         world = build_world()
-        data = snapshot(world.cloud)
+        data = build_snapshot(world.cloud)
         data["version"] = 99
         other = Deployment(vendor("D-LINK"), seed=83)
         fresh_like = other.cloud
         with pytest.raises(ConfigurationError):
-            restore(fresh_like, data)
-
-
-class TestV1Migration:
-    def test_v1_snapshot_loads_through_shim(self):
-        """A hand-built v1 document (the old format) still restores."""
-        world = build_world()
-        v2 = snapshot(world.cloud)
-        stores = v2["stores"]
-        v1 = {
-            "version": 1,
-            "design": v2["design"],
-            "time": v2["time"],
-            "accounts": stores["accounts"],
-            "tokens": stores["tokens"],
-            "devices": stores["devices"],
-            "bindings": stores["bindings"],
-            "shares": stores["shares"],
-            "schedules": {
-                record["device_id"]: dict(record["schedule"])
-                for record in stores["relay"]
-            },
-        }
-        world.cloud.shutdown()
-        fresh = CloudService.restore(world.env, world.network, world.design, v1)
-        world.cloud = fresh
-        assert world.bound_user() == world.victim.user_id
-        response = world.victim.app.query(world.victim.device.device_id)
-        assert response.payload["schedule"] == {"on": "19:00"}
-        # re-saving the migrated world yields a v2 document
-        assert snapshot(fresh)["version"] == SNAPSHOT_VERSION
+            load_snapshot(fresh_like, data)

@@ -78,13 +78,14 @@ class TestDeviceShadow:
         assert shadow.bound_user is None
 
     def test_history_records_only_state_changes(self):
-        shadow = DeviceShadow("dev-1")
+        records = []
+        shadow = DeviceShadow("dev-1", on_transition=lambda s, r: records.append(r))
         shadow.mark_status(1.0)
         shadow.mark_status(2.0)  # heartbeat: self-loop, no record
         shadow.mark_bound("alice", 3.0)
-        assert len(shadow.history) == 2
-        assert shadow.history[0].before is ShadowState.INITIAL
-        assert shadow.history[1].after is ShadowState.CONTROL
+        assert len(records) == 2
+        assert records[0].before is ShadowState.INITIAL
+        assert records[1].after is ShadowState.CONTROL
 
     def test_last_seen_tracks_heartbeats(self):
         shadow = DeviceShadow("dev-1")
@@ -98,7 +99,8 @@ class TestDeviceShadow:
             shadow.apply(ShadowEvent.BIND_CREATED, 1.0)  # no bound_user set
 
     def test_transition_record_renders(self):
-        shadow = DeviceShadow("dev-1")
+        records = []
+        shadow = DeviceShadow("dev-1", on_transition=lambda s, r: records.append(r))
         shadow.mark_status(1.0)
-        text = str(shadow.history[0])
+        text = str(records[0])
         assert "initial" in text and "online" in text

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.stealth import probe_attack_detectability
 from repro.chaos import ChaosSpec, FaultInjector, FaultPlan, LinkFault, apply_chaos
 from repro.cli import main
-from repro.cloud.persistence import snapshot
+from repro.cloud.state import build_snapshot
 from repro.cloud.policy import DeviceAuthMode, VendorDesign
 from repro.cloud.service import CloudService
 from repro.core.messages import BindMessage, Response
@@ -216,7 +216,7 @@ class TestEventFeedRestartRoundTrip:
         victim = world.victim
         assert victim.app.poll_events()  # drains; cursor now mid-stream
         victim.app.remove_device(victim.device.device_id)  # unread event
-        data = snapshot(world.cloud)
+        data = build_snapshot(world.cloud)
         world.cloud.shutdown()
         world.cloud = CloudService.restore(
             world.env, world.network, world.design, data

@@ -99,33 +99,7 @@ class TestIpCamera:
         assert camera.read_telemetry()["motion"] in (True, False)
 
 
-class TestSmartLock:
-    def test_lock_unlock_logged(self):
-        lock = make_device("smart-lock")
-        lock.apply_command("unlock", {})
-        assert lock.state["locked"] is False
-        lock.apply_command("lock", {})
-        assert lock.state["locked"] is True
-        assert [e["event"] for e in lock.event_log] == ["unlock", "lock"]
-
-    def test_telemetry_reports_lock_state(self):
-        lock = make_device("smart-lock")
-        assert lock.read_telemetry()["locked"] is True
-
-
 class TestSensors:
-    def test_fire_alarm_reports_smoke(self):
-        alarm = make_device("fire-alarm")
-        reading = alarm.read_telemetry()
-        assert "smoke_ppm" in reading and "alarm" in reading
-        assert reading["alarm"] is False  # ambient levels
-
-    def test_fire_alarm_silence(self):
-        alarm = make_device("fire-alarm")
-        alarm.state["alarming"] = True
-        alarm.apply_command("silence", {})
-        assert alarm.state["alarming"] is False
-
     def test_temperature_sensor_plausible_range(self):
         sensor = make_device("temp-sensor")
         reading = sensor.read_telemetry()["temperature_c"]

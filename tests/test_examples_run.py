@@ -15,8 +15,8 @@ EXPECTED_MARKERS = {
                               "rejected (not-bound-user)"],
     "id_bruteforce.py": ["scalable binding DoS", "victim setup succeeds: False"],
     "secure_binding.py": ["Secure-Capability", "SECURE (all attacks defeated)"],
-    "automation_cascade.py": ["AC plug is now on: True"],
-    "smart_home_hub.py": ["hub now bound to: mallory@example.com"],
+    "automation_cascade.py": ["(temperature_c=45.0): accepted",
+                              "=> AC plug on: False -> True"],
 }
 
 

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis.full_report import render_full_report
+from repro.analysis.stealth import stealth_survey
+from repro.attacks.attacker import RemoteAttacker
+from repro.attacks.traffic_analysis import analyze_own_traffic
 from repro.cli import main
+from repro.scenario import Deployment
+from repro.vendors import STUDIED_VENDORS
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +38,38 @@ class TestFullReport:
             "Minimal fixes per vendor",
             "Section VII design lint",
             "Setup-cost overhead",
+            "§VI-A — forgery playbooks from own-app traffic",
+            "Attack stealth (what the victim sees)",
+            "§V-B — A1 cascade through an automation rule",
         ):
             assert marker in report, marker
+
+    def test_every_studied_playbook_locates_the_device_id(self, report):
+        """Section VI-A: own-app traffic reveals where the ID goes."""
+        for design in STUDIED_VENDORS:
+            deployment = Deployment(design, seed=3)
+            playbook = analyze_own_traffic(deployment, RemoteAttacker(deployment))
+            assert playbook.id_field == "device_id", design.name
+        assert "=> 10/10 playbooks locate the device ID in 'device_id'" in report
+
+    def test_successful_attacks_notify_no_victim(self, report):
+        """The abstract's stealthy control: no studied vendor tells the
+        victim about any attack that worked."""
+        successes = [
+            row for design in STUDIED_VENDORS
+            for row in stealth_survey(design, seed=3)
+            if row.attack_outcome in ("yes", "O", "escalated")
+        ]
+        assert len(successes) == 19
+        assert not any(row.notifications for row in successes)
+        assert "=> 0 of 19 successful attacks produced a user notification" in report
+
+    def test_one_forged_status_flips_the_ac_plug(self, report):
+        """Section V-B: fake sensor data switches the air conditioner."""
+        section = report.split("§V-B — A1 cascade")[1]
+        assert "0 firing(s), AC plug on: False" in section
+        assert "(temperature_c=45.0): accepted" in section
+        assert "=> AC plug on: False -> True" in section
 
     def test_reports_exact_reproduction(self, report):
         assert "RESULT: exact reproduction" in report

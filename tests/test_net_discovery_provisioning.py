@@ -1,10 +1,9 @@
-"""Tests for SSDP discovery, SmartConfig provisioning and packet capture."""
+"""Tests for SSDP discovery and SmartConfig provisioning."""
 
 import pytest
 
 from repro.core.errors import ProtocolError
-from repro.core.messages import Response, StatusMessage
-from repro.net.capture import PacketCapture
+from repro.core.messages import Response
 from repro.net.discovery import SsdpDescription, SsdpSearch, ssdp_discover
 from repro.net.network import Network
 from repro.net.provisioning import ProvisioningAir, WifiCredentials
@@ -78,31 +77,3 @@ class TestProvisioningAir:
         air.listen("home", lambda c: None)
         assert air.listener_count("home") == 2
         assert air.listener_count("lab") == 0
-
-
-class TestCapture:
-    def test_capture_redacts_encrypted_traffic(self, world):
-        capture = PacketCapture()
-        world.add_tap(capture.tap)
-        world.add_internet_node("cloud", lambda p: Response(), "52.0.0.1")
-        world.request("phone", "cloud", StatusMessage(device_id="secret"), encrypted=True)
-        assert len(capture) == 1
-        assert capture.entries[0].visible_summary == "<encrypted>"
-        assert not capture.plaintext_entries()
-
-    def test_capture_shows_plaintext_traffic(self, world):
-        capture = PacketCapture()
-        world.add_tap(capture.tap)
-        world.add_internet_node("cloud", lambda p: Response(), "52.0.0.1")
-        world.request("phone", "cloud", StatusMessage(device_id="dev"), encrypted=False)
-        entry = capture.plaintext_entries()[0]
-        assert "Status" in entry.visible_summary
-
-    def test_capture_filter_and_render(self, world):
-        capture = PacketCapture(predicate=lambda ex: ex.request.dst == "device")
-        world.add_tap(capture.tap)
-        ssdp_discover(world, "phone")
-        assert capture.between("phone", "device")
-        assert "phone -> device" in capture.render()
-        capture.clear()
-        assert len(capture) == 0

@@ -12,7 +12,6 @@ PACKAGES = [
     "repro.cloud",
     "repro.core",
     "repro.device",
-    "repro.hub",
     "repro.identity",
     "repro.net",
     "repro.obs",

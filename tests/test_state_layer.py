@@ -14,16 +14,15 @@ import pytest
 from repro.cloud.service import CloudService
 from repro.cloud.sharing import ShareStore
 from repro.cloud.state import (
-    SNAPSHOT_VERSION,
     JournalBackend,
     JournalCrash,
     MemoryBackend,
     RecordStoreBase,
     StateStore,
     build_snapshot,
+    check_snapshot,
     merge_state_counts,
     meta_entry,
-    migrate_snapshot,
     recover_from_journal,
     snapshot_store_counts,
 )
@@ -230,54 +229,24 @@ class TestSnapshotRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# v1 -> v2 migration shim
+# document checks: v2 is the only snapshot format
 # ---------------------------------------------------------------------------
 
 
 class TestMigration:
-    V1 = {
-        "version": 1,
-        "design": "D-LINK",
-        "time": 99.5,
-        "accounts": [{"user_id": "alice@example.com"}],
-        "tokens": [],
-        "devices": [{"device_id": "d1"}],
-        "bindings": [{"device_id": "d1", "user_id": "alice@example.com"}],
-        "shares": [],
-        "schedules": {"d2": {"on": "19:00"}, "d1": {"off": "23:00"}},
-    }
-
     def test_v2_documents_pass_through_unchanged(self):
         world = build_world()
         data = build_snapshot(world.cloud)
-        assert migrate_snapshot(data) is data
-
-    def test_v1_lifts_to_the_v2_shape(self):
-        lifted = migrate_snapshot(self.V1)
-        assert lifted["version"] == SNAPSHOT_VERSION
-        assert lifted["design"] == "D-LINK"
-        assert lifted["time"] == 99.5
-        assert set(lifted["stores"]) == {
-            "accounts", "tokens", "devices", "bindings",
-            "shares", "relay", "events",
-        }
-        # the schedules dict becomes sorted relay records
-        assert lifted["stores"]["relay"] == [
-            {"device_id": "d1", "schedule": {"off": "23:00"}},
-            {"device_id": "d2", "schedule": {"on": "19:00"}},
-        ]
-        # v1 never captured notification feeds; they migrate empty
-        assert lifted["stores"]["events"] == []
+        assert check_snapshot(data) is data
 
     def test_unknown_version_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            migrate_snapshot({"version": 99})
+        # version 1 (the retired hand-enumerated format) no longer loads
+        for version in (99, 1):
+            with pytest.raises(ConfigurationError, match="version"):
+                check_snapshot({"version": version, "design": "D-LINK",
+                                "stores": {}})
 
-    def test_store_counts_work_on_both_versions(self):
-        assert snapshot_store_counts(self.V1) == {
-            "accounts": 1, "bindings": 1, "devices": 1, "events": 0,
-            "relay": 2, "shares": 0, "tokens": 0,
-        }
+    def test_store_counts(self):
         world = build_world()
         counts = snapshot_store_counts(build_snapshot(world.cloud))
         assert counts["bindings"] == 1
