@@ -188,36 +188,42 @@ class ResilientClient:
                 f"{self.node_name!r}: circuit open, not calling {dst!r}"
             )
         last_error: Optional[NetworkError] = None
-        for attempt in range(1, self.policy.max_attempts + 1):
-            if attempt > 1:
-                delay = self.policy.delay(attempt - 1, self.rng)
-                self.stats["retries"] += 1
-                self.stats["backoff_seconds"] += delay
-                observer.count("resilience.retries", role=self.role)
-                observer.observe("resilience.backoff", delay)
-            self.stats["attempts"] += 1
-            try:
-                response = self.network.request(
-                    self.node_name, dst, message, encrypted=encrypted,
-                    timeout=self.policy.timeout,
-                )
-            except RequestRejected:
-                # Delivered and answered: the breaker sees a healthy link.
+        try:
+            for attempt in range(1, self.policy.max_attempts + 1):
+                if attempt > 1:
+                    delay = self.policy.delay(attempt - 1, self.rng)
+                    self.stats["retries"] += 1
+                    self.stats["backoff_seconds"] += delay
+                    observer.count("resilience.retries", role=self.role)
+                    observer.observe("resilience.backoff", delay)
+                self.stats["attempts"] += 1
+                try:
+                    response = self.network.request(
+                        self.node_name, dst, message, encrypted=encrypted,
+                        timeout=self.policy.timeout,
+                    )
+                except RequestRejected:
+                    # Delivered and answered: the breaker sees a healthy link.
+                    if self.breaker is not None:
+                        self.breaker.record_success(env.now)
+                    raise
+                except NetworkError as exc:
+                    last_error = exc
+                    if self.breaker is not None:
+                        was_open = self.breaker.state == CircuitBreaker.OPEN
+                        self.breaker.record_failure(env.now)
+                        if not was_open and self.breaker.state == CircuitBreaker.OPEN:
+                            observer.count("resilience.breaker_opened", role=self.role)
+                    continue
                 if self.breaker is not None:
                     self.breaker.record_success(env.now)
-                raise
-            except NetworkError as exc:
-                last_error = exc
-                if self.breaker is not None:
-                    was_open = self.breaker.state == CircuitBreaker.OPEN
-                    self.breaker.record_failure(env.now)
-                    if not was_open and self.breaker.state == CircuitBreaker.OPEN:
-                        observer.count("resilience.breaker_opened", role=self.role)
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success(env.now)
-            return response
-        self.stats["giveups"] += 1
-        observer.count("resilience.giveups", role=self.role)
-        assert last_error is not None  # max_attempts >= 1 guarantees a cause
-        raise last_error
+                return response
+            self.stats["giveups"] += 1
+            observer.count("resilience.giveups", role=self.role)
+            assert last_error is not None  # max_attempts >= 1 guarantees a cause
+            raise last_error
+        finally:
+            # A kept error's traceback holds this frame, whose local holds
+            # the error: clear it on every exit so no cycle outlives the
+            # call (the idiom of concurrent.futures.Future.result).
+            last_error = None

@@ -7,9 +7,11 @@ the Figure 1/3/4 sequence traces.
 
 The log doubles as the cloud's single observability feed: when an
 observer is installed (``AuditLog(observer=...)``), every recorded row
-is forwarded to :meth:`~repro.obs.observer.Observer.on_audit`, which the
-:class:`~repro.obs.runtime.Observability` runtime turns into message
-counters and exchange spans — one source of truth, no duplicate
+reaches it — on the observed request's
+:class:`~repro.obs.observer.RequestRecord` when the row records one,
+through :meth:`~repro.obs.observer.Observer.on_audit` otherwise — and
+the :class:`~repro.obs.runtime.Observability` runtime turns it into
+message counters and exchange spans: one source of truth, no duplicate
 bookkeeping, and counter totals provably equal to the log's.
 """
 
@@ -93,16 +95,21 @@ class AuditLog:
         trace_id: str = "",
         request: Optional[Any] = None,
     ) -> None:
-        """Append one row; forward it to the observer when installed.
+        """Append one row; hand it to the observer when installed.
 
         *request* is the observed request's
         :class:`~repro.obs.observer.RequestRecord` when this row records
-        that request's outcome; it rides along to the observer.
+        that request's outcome: the row goes onto the record, which the
+        observer receives once the request finishes.  Any other row goes
+        to the observer's ``on_audit`` now.
         """
         row = (time, source_node, source_ip, summary, outcome, detail, trace_id)
         self.rows.append(row)
         if self._observer is not None:
-            self._observer.on_audit(row, request)
+            if request is not None:
+                request.row = row
+            else:
+                self._observer.on_audit(row)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -382,8 +382,8 @@ class CloudService:
         self.bind_probe_failures = dict(state["bind_probe_failures"])
         # Audit rows are installed directly, NOT re-record()ed: the
         # observer's audit counters are restored wholesale from the
-        # image's metrics snapshot by the fleet-level restore, so firing
-        # on_audit here would double-count.
+        # image's metrics snapshot by the fleet-level restore, so
+        # observing them here would double-count.
         self.audit.rows = list(state["audit_rows"])
         self.tokens.restore_rng_state(state["token_rng"])
         # Replaying records as upserts inflated every churn counter;
@@ -429,19 +429,16 @@ class CloudService:
     def _handle_observed(self, packet: Packet) -> Message:
         """Observed-path dispatch: time the request once, into one record.
 
-        The timed region covers dispatch, the audit entry (whose
-        observer hook receives the record, PDP decision included) and
-        forensic recording; the finished record then goes to
-        ``Observer.on_request``.  Rejections are requests the cloud
-        *served* (denying an attacker is correct behaviour): the record
-        carries the rejection code and the exception re-raises.
+        The timed region covers dispatch, the audit row (which goes onto
+        the record, beside the PDP's rule trace and time) and forensic
+        recording; the finished record then goes to
+        ``Observer.on_request``, the request's one observer call.
+        Rejections are requests the cloud *served* (denying an attacker
+        is correct behaviour): the record carries the rejection code and
+        the exception re-raises.
         """
-        trace = packet.trace
         record = RequestRecord(
-            self.design.name,
-            _ENDPOINT_ACTIONS.get(type(packet.message), ""),
-            trace.trace_id if trace is not None else "",
-            self.now,
+            self.design.name, _ENDPOINT_ACTIONS.get(type(packet.message), "")
         )
         started = perf_counter_ns()
         try:
@@ -460,8 +457,8 @@ class CloudService:
     ) -> Message:
         """Dispatch one packet, auditing and (when watched) evidencing it.
 
-        *request* is the observed path's record; the PDP decision is
-        put on it before the audit row that it explains.
+        *request* is the observed path's record; the PDP's rule trace
+        and time go on it before the audit row that they explain.
         """
         message = packet.message
         forensic_kind = _FORENSIC_KINDS.get(type(message))
@@ -528,23 +525,24 @@ class CloudService:
     def _collect_decision_trace(self, request: Optional[RequestRecord]) -> str:
         """Collect the PDP's decision for the exchange just dispatched.
 
-        On the observed path the decision and its evaluation time go
-        onto *request*, before the exchange's audit entry is recorded,
-        so the observer can attach the rule trace to that entry's
-        evidence.  Returns the compact trace for the forensic event;
-        it is only rendered when someone is watching — a real observer
-        or a live forensic sink — so uninstrumented runs keep the
-        null-observer fast path.
+        On the observed path the decision's rule trace and evaluation
+        time go onto *request*, before the exchange's audit entry is
+        recorded, so the observer can attach the rule trace to that
+        entry's evidence.  Returns the compact trace for the forensic
+        event; it is only rendered when someone is watching — a real
+        observer or a live forensic sink — so uninstrumented runs keep
+        the null-observer fast path.
         """
         decision = self.pdp.take_last_decision()
         if decision is None:
             return ""
-        if request is not None:
-            request.decision = decision
-            request.pdp_ns = self.pdp.last_ns
-        elif not self.forensics.has_sinks():
+        if request is None and not self.forensics.has_sinks():
             return ""
-        return decision.trace()
+        trace = decision.trace()
+        if request is not None:
+            request.authz = trace
+            request.pdp_ns = self.pdp.last_ns
+        return trace
 
     def _claimed_actor(self, message: Message) -> str:
         """The identity a watched message claims, without enforcing it.

@@ -53,14 +53,11 @@ def _cap_forest(
             return None
         budget[0] -= 1
         exported[0] += 1
-        data = span.to_dict(include_wall)
-        if span.children:
-            children = [emit(child) for child in span.children]
-            kept = [child for child in children if child is not None]
-            if kept:
-                data["children"] = kept
-            else:
-                data.pop("children", None)
+        data = span.node_dict(include_wall)
+        children = [emit(child) for child in span.children]
+        kept = [child for child in children if child is not None]
+        if kept:
+            data["children"] = kept
         return data
     forest = [emit(root) for root in roots]
     return [root for root in forest if root is not None], exported[0], dropped[0]

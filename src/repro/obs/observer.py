@@ -41,34 +41,32 @@ class RequestRecord:
 
     Built once at the enforcement point
     (``CloudService.handle_packet``) and filled in as the request runs:
-    the PDP's decision and its evaluation time before the audit row is
-    recorded (:meth:`Observer.on_audit` receives the record), then the
-    outcome code and the request's one wall-clock duration before
-    :meth:`Observer.on_request`.  ``code`` stays ``None`` when an error
-    other than a policy rejection escaped before the request was
-    audited.
+    the PDP's rule trace and evaluation time, then the audit row that
+    ``AuditLog.record`` wrote for the request, then the outcome code
+    and the request's one wall-clock duration.  The finished record is
+    the request's one observer call, :meth:`Observer.on_request`.
+    ``row`` stays ``None`` when an error other than a policy rejection
+    escaped before the request was audited, and ``code`` stays ``None``
+    when it escaped before the request finished.
     """
 
-    __slots__ = (
-        "design", "action", "trace_id", "now", "code", "duration_ns",
-        "decision", "pdp_ns",
-    )
+    __slots__ = ("design", "action", "code", "duration_ns", "authz", "pdp_ns", "row")
 
-    def __init__(self, design: str, action: str, trace_id: str, now: float) -> None:
+    def __init__(self, design: str, action: str) -> None:
         self.design = design
         #: the PDP action the message type maps to (the RED key)
         self.action = action
-        self.trace_id = trace_id
-        #: virtual time the request arrived
-        self.now = now
         #: ``"ok"`` or the rejection code; None when the request errored
         self.code: Optional[str] = None
         #: wall-clock nanoseconds across dispatch, audit and forensics
         self.duration_ns = 0
-        #: the PDP :class:`~repro.cloud.pdp.model.Decision`, if one was made
-        self.decision: Any = None
+        #: the rule trace of the PDP's decision; None if none was made
+        self.authz: Optional[str] = None
         #: wall-clock nanoseconds the PDP spent on that decision
         self.pdp_ns = 0
+        #: the :data:`~repro.cloud.audit.AuditRow` recording the outcome;
+        #: it also carries the request's virtual time and trace id
+        self.row: Optional[tuple] = None
 
 
 class Observer:
@@ -77,9 +75,9 @@ class Observer:
     Subclass and override the hooks you care about.  Hook call sites are
     chosen so that the no-op path stays off the per-event hot loop:
 
-    * :meth:`on_audit` / :meth:`on_request` — only reached when a real
-      observer is installed (the cloud's audit log and packet entry
-      point test a precomputed flag);
+    * :meth:`on_request` / :meth:`on_audit` — only reached when a real
+      observer is installed (the cloud's packet entry point and audit
+      log test a precomputed flag);
     * :meth:`on_shadow_transition` — only wired when a real observer is
       installed (see :class:`~repro.cloud.shadows.ShadowStore`);
     * :meth:`on_scheduler_flush` — once per ``run_until`` batch, not per
@@ -123,23 +121,25 @@ class Observer:
 
     # -- domain hooks (called by the instrumented layers) -------------------
 
-    def on_audit(self, row: Any, request: Optional[RequestRecord] = None) -> None:
-        """One cloud audit row was recorded (request handled or sweep).
+    def on_audit(self, row: Any) -> None:
+        """One cloud audit row was recorded that no request record carries.
 
         *row* is the :data:`~repro.cloud.audit.AuditRow` tuple the log
-        stores.  *request* is the observed request whose outcome the
-        row records, when there is one; sweeps and handler-side revocations
-        pass none.  Fires inside the request's timed region.
+        stores.  Liveness sweeps and handler-side revocations write such
+        rows; a row that records an observed request's outcome rides on
+        that request's record to :meth:`on_request` instead.
         """
 
     def on_request(self, record: RequestRecord) -> None:
         """One observed endpoint request finished: its one record.
 
         Fired once per ``CloudService.handle_packet`` call, after the
-        request's single wall-clock timing, and only when a real
-        observer is installed — the service guards the record and the
-        ``perf_counter_ns`` reads behind its precomputed fast-path flag,
-        so uninstrumented runs never reach it.
+        request's single wall-clock timing, so the observer's own work
+        is outside that timing; the record carries the request's audit
+        row.  Only reached when a real observer is installed — the
+        service guards the record and the ``perf_counter_ns`` reads
+        behind its precomputed fast-path flag, so uninstrumented runs
+        never reach it.
         """
 
     def on_shadow_transition(

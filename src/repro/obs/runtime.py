@@ -14,14 +14,14 @@ the virtual-clock time source to the newest environment.
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Dict, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, Optional, Tuple
 
 from repro.cloud.audit import AuditRow
-from repro.obs.metrics import Counter, LabelKey, MetricsRegistry, label_key
+from repro.obs.metrics import Counter, LabelKey, MetricsRegistry
 from repro.obs.observer import Observer, RequestRecord
 from repro.obs.profiler import Profiler
 from repro.obs.slo import RedAccounting, SLOTracker
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Tracer
 
 #: Observer counters that double as SLO bad events: an infrastructure
 #: failure (a chaos drop or timeout) is a request the service failed to
@@ -29,39 +29,17 @@ from repro.obs.tracer import Span, Tracer
 #: rejections are *not* here — denying an attacker is correct service.
 _SLO_BAD_COUNTERS = {"chaos.drops": "drop", "chaos.timeouts": "timeout"}
 
+_ENTRIES_HELP = "audit entries by (summary, outcome)"
 
-class ExchangeLeaf(Span):
-    """The exchange span of one audit row: a zero-duration leaf.
+#: The profiler section every observed request is timed into.
+_HANDLE = "cloud.handle_packet"
 
-    An observed run keeps one per audited request, so a leaf holds no
-    ``attrs`` dict: it keeps the row (which the audit log keeps anyway)
-    and the rule trace of the request's decision, and builds ``attrs``
-    when read.  The trace id is the causal chain id the packet brought
-    in, so per-process span trees can be joined into end-to-end chains;
-    the rule trace explains the outcome code.
-    """
+#: The audit verdict counter, indexed by ``outcome == "ok"``.
+_VERDICT = ("cloud.audit.rejected", "cloud.audit.ok")
 
-    __slots__ = ("row", "authz")
-
-    def __init__(self, row: AuditRow, authz: str) -> None:
-        self.name = row[3]
-        self.kind = "exchange"
-        self.outcome = "ok"
-        self.children = ()
-        self.wall_ns = 0
-        self.row = row
-        self.authz = authz
-
-    @property
-    def attrs(self) -> Dict[str, Any]:
-        """``source`` and ``outcome``, plus ``trace`` and ``authz`` if set."""
-        row = self.row
-        attrs = {"source": row[1], "outcome": row[4]}
-        if row[6]:
-            attrs["trace"] = row[6]
-        if self.authz:
-            attrs["authz"] = self.authz
-        return attrs
+#: One resolved observer slot: the entries counter, the row's label key,
+#: the ok-or-rejected counter, then the pdp and endpoint RED recorders.
+_Slot = Tuple[Counter, LabelKey, Counter, Callable[..., None], Callable[..., None]]
 
 
 class Observability(Observer):
@@ -74,23 +52,52 @@ class Observability(Observer):
 
     def __init__(self, trace_messages: bool = True, max_spans: int = 100_000) -> None:
         self.tracer = Tracer(max_spans=max_spans)
-        self.metrics = MetricsRegistry()
         self.profiler = Profiler()
+        #: the availability series behind SLO/burn-rate evaluation
+        self.slo = SLOTracker()
+        self.trace_messages = trace_messages
+        self._env: Optional[Any] = None
+        #: per (design, action, summary, outcome), what one observed
+        #: request folds into: see :meth:`_slot`.  Resolved against the
+        #: installed registry and RED accountings, so replacing any of
+        #: them drops it.
+        self._slots: Dict[Tuple[str, str, str, str], _Slot] = {}
+        self.metrics = MetricsRegistry()
         #: RED series (rate, errors, duration sketch) per (design, action)
         self.red = RedAccounting()
         #: PDP decide timings per ("pdp", action): one per observed
         #: request the PDP decided (every handler decides exactly once)
         self.pdp_red = RedAccounting()
-        #: the availability series behind SLO/burn-rate evaluation
-        self.slo = SLOTracker()
-        self.trace_messages = trace_messages
-        self._env: Optional[Any] = None
-        #: the audit instruments, resolved against ``_audit_registry``:
-        #: the entries counter, and per (summary, outcome) the label key
-        #: plus the ok-or-rejected counter
-        self._audit_registry: Optional[MetricsRegistry] = None
-        self._audit_entries: Optional[Counter] = None
-        self._audit_keys: Dict[Tuple[str, str], Tuple[LabelKey, Counter]] = {}
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The metrics registry (a warm restore installs a new one)."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry) -> None:
+        self._metrics = registry
+        self._slots = {}
+
+    @property
+    def red(self) -> RedAccounting:
+        """The endpoint RED accounting (replaceable, e.g. per time window)."""
+        return self._red
+
+    @red.setter
+    def red(self, accounting: RedAccounting) -> None:
+        self._red = accounting
+        self._slots = {}
+
+    @property
+    def pdp_red(self) -> RedAccounting:
+        """The PDP decide-time RED accounting (replaceable)."""
+        return self._pdp_red
+
+    @pdp_red.setter
+    def pdp_red(self, accounting: RedAccounting) -> None:
+        self._pdp_red = accounting
+        self._slots = {}
 
     # -- Observer protocol ---------------------------------------------------
 
@@ -113,7 +120,7 @@ class Observability(Observer):
 
     def count(self, name: str, n: int = 1, **labels: Any) -> None:
         """Increment the counter *name* (SLO-bad counters also feed SLO)."""
-        self.metrics.counter(name).inc(n, **labels)
+        self._metrics.counter(name).inc(n, **labels)
         cause = _SLO_BAD_COUNTERS.get(name)
         if cause is not None and self._env is not None:
             self.slo.record_bad(
@@ -122,67 +129,85 @@ class Observability(Observer):
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge *name*."""
-        self.metrics.gauge(name).set(value)
+        self._metrics.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into the histogram *name*."""
-        self.metrics.histogram(name).observe(value)
+        self._metrics.histogram(name).observe(value)
 
     # -- domain hooks --------------------------------------------------------
 
-    def on_audit(self, row: AuditRow, request: Optional[RequestRecord] = None) -> None:
-        """Fold one audit row into message counters (+ exchange leaf).
+    def on_audit(self, row: AuditRow) -> None:
+        """Fold one audit row that no request record carries.
 
-        Runs inside an observed request's timed region.  Label keys and
-        counters are resolved once per (summary, outcome); the leaf's
-        ``authz`` attribute is the rule trace of *request*'s decision,
-        which explains the outcome code.  The PDP's decision time feeds
-        the ``pdp`` RED series here too.
+        Liveness sweeps and handler-side revocations write such rows;
+        each feeds the ``cloud.audit.*`` counters and, when traced, adds
+        an exchange leaf with no rule trace.
         """
-        metrics = self.metrics
-        if metrics is not self._audit_registry:
-            # First entry, or a warm restore replaced the registry.
-            self._audit_registry = metrics
-            self._audit_entries = metrics.counter(
-                "cloud.audit.entries", help="audit entries by (summary, outcome)"
-            )
-            self._audit_keys = {}
-        summary, outcome = pair = row[3:5]
-        resolved = self._audit_keys.get(pair)
-        if resolved is None:
-            verdict = "cloud.audit.ok" if outcome == "ok" else "cloud.audit.rejected"
-            resolved = self._audit_keys[pair] = (
-                label_key({"summary": summary, "outcome": outcome}),
-                metrics.counter(verdict),
-            )
-        key, verdict_counter = resolved
-        self._audit_entries.inc_key(key)
-        verdict_counter.inc_key(())
-        decision = request.decision if request is not None else None
-        if decision is not None:
-            self.pdp_red.record("pdp", request.action, "ok", request.pdp_ns / 1000.0)
+        summary, outcome = row[3], row[4]
+        metrics = self._metrics
+        metrics.counter("cloud.audit.entries", help=_ENTRIES_HELP).inc(
+            summary=summary, outcome=outcome
+        )
+        metrics.counter(_VERDICT[outcome == "ok"]).inc()
         if self.trace_messages:
-            self.tracer.add_leaf(
-                ExchangeLeaf(row, decision.trace() if decision is not None else "")
-            )
+            self.tracer.add_exchange(row, "")
 
     def on_request(self, record: RequestRecord) -> None:
-        """Fold one finished request record into profile, RED and SLO.
+        """Fold one finished request record into every surface it feeds.
 
-        Deliberately registry-free: RED sketches hold wall-clock
-        durations and live beside the metrics registry, so instrumented
-        runs keep their pinned metric fingerprints byte-identical.  A
-        record without an outcome code (an error escaped before the
-        audit) counts only towards the profiled section.
+        The one observer call an observed request makes, after its timed
+        region: the ``cloud.handle_packet`` profiler section; then, once
+        the request has an audit row, the ``cloud.audit.*`` counters,
+        the ``pdp`` RED series (when the PDP decided) and the exchange
+        leaf; then, once it has an outcome code, the endpoint RED series
+        and the SLO bin.  RED sketches hold wall-clock durations and
+        live beside the metrics registry, so instrumented runs keep
+        their pinned metric fingerprints byte-identical.
         """
-        self.profiler.add("cloud.handle_packet", record.duration_ns)
-        if record.code is None:
+        duration_ns = record.duration_ns
+        # Profiler.add, spelled out on the per-request path.
+        profiler = self.profiler
+        calls = profiler.calls
+        calls[_HANDLE] = calls.get(_HANDLE, 0) + 1
+        total_ns = profiler.total_ns
+        total_ns[_HANDLE] = total_ns.get(_HANDLE, 0) + duration_ns
+        row = record.row
+        if row is None:
             return
-        self.red.record(
-            record.design, record.action, record.code,
-            record.duration_ns / 1000.0, record.trace_id,
+        slot_key = (record.design, record.action, row[3], row[4])
+        slot = self._slots.get(slot_key) or self._slot(*slot_key)
+        entries, key, verdict, pdp_add, red_add = slot
+        entries.inc_key(key)
+        verdict.inc_key(())
+        authz = record.authz
+        if authz is not None:
+            pdp_add("ok", record.pdp_ns / 1000.0, "")
+        if self.trace_messages:
+            self.tracer.add_exchange(row, authz or "")
+        code = record.code
+        if code is None:
+            return
+        red_add(code, duration_ns / 1000.0, row[6])
+        self.slo.record_request(row[0])
+
+    def _slot(self, design: str, action: str, summary: str, outcome: str) -> "_Slot":
+        """Resolve (and cache) what a (design, action, summary, outcome) feeds.
+
+        The entries counter with the row's label key, the ok-or-rejected
+        counter, and the recorders of the ``("pdp", action)`` and
+        ``(design, action)`` RED series.
+        """
+        metrics = self._metrics
+        slot = self._slots[design, action, summary, outcome] = (
+            metrics.counter("cloud.audit.entries", help=_ENTRIES_HELP),
+            # label_key({"summary": summary, "outcome": outcome}), spelled out
+            (("outcome", outcome), ("summary", summary)),
+            metrics.counter(_VERDICT[outcome == "ok"]),
+            self._pdp_red.recorder("pdp", action),
+            self._red.recorder(design, action),
         )
-        self.slo.record_request(record.now)
+        return slot
 
     def on_shadow_transition(
         self, device_id: str, event: Any, before: Any, after: Any, time: float

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Default sketch relative-error bound: quantile estimates are within
 #: 0.5% of the true sample value (tests assert <1% with headroom).
@@ -112,6 +112,44 @@ class LatencySketch:
             best = self.exemplars.get(index)
             if best is None or candidate > best:
                 self.exemplars[index] = candidate
+
+    def observe_many(self, values: Sequence[float], traces: Sequence[str]) -> None:
+        """Record ``values[i]`` tagged ``traces[i]``, in order.
+
+        The same sketch as calling :meth:`observe` on each pair in turn:
+        the same bucket index, the same ``sum`` order, the same exemplar
+        rule, and ``min``/``max`` keep the first extreme, as the
+        builtins do.  A losing exemplar candidate is compared field by
+        field, which is the tuple order without building the tuple.
+        """
+        if not values:
+            return
+        low = min(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        high = max(values)
+        if self.max is None or high > self.max:
+            self.max = high
+        self.count += len(values)
+        total = self.sum
+        buckets = self.buckets
+        exemplars = self.exemplars
+        log = math.log
+        ceil = math.ceil
+        log_gamma = self._log_gamma
+        for value, trace_id in zip(values, traces):
+            total += value
+            if value <= 0.0:
+                self.zero_count += 1
+                continue
+            index = ceil(log(value) / log_gamma)
+            buckets[index] = buckets.get(index, 0) + 1
+            if trace_id:
+                best = exemplars.get(index)
+                if (best is None or value > best[0]
+                        or (value == best[0] and trace_id > best[1])):
+                    exemplars[index] = (value, trace_id)
+        self.sum = total
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the *q*-quantile (``0 <= q <= 1``); None when empty.
@@ -239,6 +277,63 @@ class RedSeries:
 _KEY_SEP = "|"
 
 
+#: Samples a :class:`RedAccounting` buffers per series before it folds
+#: them in.  A bound, not a knob: it caps the buffer of an accounting
+#: nothing ever reads, and keeps each fold's loop warm.
+RED_BATCH = 256
+
+
+class _Pending:
+    """One series' samples recorded and not yet folded into it.
+
+    Held as untracked parts: the durations and trace ids in two
+    parallel lists (a float and a string are not objects the cyclic
+    collector tracks), and the non-``ok`` outcomes already counted.
+    It folds into its accounting's series map, which it shares, so it
+    holds no reference back to the accounting.
+    """
+
+    __slots__ = ("key", "all_series", "alpha", "durations", "traces", "errors")
+
+    def __init__(
+        self, key: Tuple[str, str], all_series: Dict[Tuple[str, str], RedSeries],
+        alpha: float,
+    ) -> None:
+        self.key = key
+        self.all_series = all_series
+        self.alpha = alpha
+        self.durations: List[float] = []
+        self.traces: List[str] = []
+        self.errors: Dict[str, int] = {}
+
+    def add(self, outcome: str, duration_us: float, trace_id: str = "") -> None:
+        """Buffer one sample; fold once :data:`RED_BATCH` are buffered."""
+        self.durations.append(duration_us)
+        self.traces.append(trace_id)
+        if outcome != "ok":
+            errors = self.errors
+            errors[outcome] = errors.get(outcome, 0) + 1
+        if len(self.durations) >= RED_BATCH:
+            self.fold()
+
+    def fold(self) -> None:
+        """Fold the buffered samples into the series, in order, and clear them."""
+        durations = self.durations
+        if not durations:
+            return
+        series = self.all_series.get(self.key)
+        if series is None:
+            series = self.all_series[self.key] = RedSeries(alpha=self.alpha)
+        series.requests += len(durations)
+        errors = series.errors
+        for code, count in self.errors.items():
+            errors[code] = errors.get(code, 0) + count
+        series.sketch.observe_many(durations, self.traces)
+        durations.clear()
+        self.traces.clear()
+        self.errors.clear()
+
+
 class RedAccounting:
     """RED (rate, errors, duration) accounting keyed by (scope, action).
 
@@ -247,11 +342,19 @@ class RedAccounting:
     Durations are wall-clock microseconds.  Snapshots merge per-series:
     request/error counts add and sketches merge, so fleet-wide RED
     numbers from sharded campaigns equal a serial run's.
+
+    Recording a sample only buffers it in its series' :class:`_Pending`,
+    which allocates nothing the cyclic collector tracks.  A buffer is
+    folded into its series, in recording order, once it holds
+    :data:`RED_BATCH` samples, and every buffer is folded before any
+    read, so every read sees exactly what recording each sample on
+    arrival would have built.
     """
 
     def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
         self.alpha = alpha
         self._series: Dict[Tuple[str, str], RedSeries] = {}
+        self._pending: Dict[Tuple[str, str], _Pending] = {}
 
     def record(
         self,
@@ -261,30 +364,49 @@ class RedAccounting:
         duration_us: float,
         trace_id: str = "",
     ) -> None:
-        """Record one finished request: outcome plus wall duration (µs)."""
+        """Record one finished request: outcome plus wall duration (µs).
+
+        Resolves the series on every call; a caller recording many
+        samples into one series keeps its :meth:`recorder` instead.
+        """
+        self.recorder(scope, action)(outcome, duration_us, trace_id)
+
+    def recorder(self, scope: str, action: str) -> Callable[..., None]:
+        """:meth:`record` for one (scope, action), with the key resolved once.
+
+        Returns ``add(outcome, duration_us, trace_id="")``.  It records
+        into this accounting only, whatever a caller later installs in
+        its place.
+        """
         key = (scope, action)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = RedSeries(alpha=self.alpha)
-        series.requests += 1
-        if outcome != "ok":
-            series.errors[outcome] = series.errors.get(outcome, 0) + 1
-        series.sketch.observe(duration_us, trace_id)
+        pending = self._pending.get(key)
+        if pending is None:
+            pending = self._pending[key] = _Pending(key, self._series, self.alpha)
+        return pending.add
+
+    def _fold(self) -> None:
+        """Fold every series' buffer (before any read)."""
+        for pending in self._pending.values():
+            pending.fold()
 
     def series(self) -> Dict[Tuple[str, str], RedSeries]:
         """All series keyed by ``(scope, action)`` (live references)."""
+        self._fold()
         return dict(self._series)
 
     def total_requests(self) -> int:
         """Requests across every series."""
+        self._fold()
         return sum(s.requests for s in self._series.values())
 
     def total_errors(self) -> int:
         """Non-``ok`` requests across every series."""
+        self._fold()
         return sum(s.error_count for s in self._series.values())
 
     def combined_sketch(self, scope: Optional[str] = None) -> LatencySketch:
         """One sketch merging every series (optionally one scope only)."""
+        self._fold()
         merged = LatencySketch(alpha=self.alpha)
         for (series_scope, _), series in sorted(self._series.items()):
             if scope is not None and series_scope != scope:
@@ -294,6 +416,7 @@ class RedAccounting:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready dict keyed ``"scope|action"``; mergeable."""
+        self._fold()
         return {
             "alpha": self.alpha,
             "series": {
@@ -308,6 +431,7 @@ class RedAccounting:
 
     def merge_snapshot(self, snap: Dict[str, Any]) -> None:
         """Fold another accounting's :meth:`snapshot` into this one."""
+        self._fold()
         for joined, row in snap.get("series", {}).items():
             scope, _, action = joined.partition(_KEY_SEP)
             key = (scope, action)

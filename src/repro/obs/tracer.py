@@ -18,7 +18,7 @@ which excludes wall-clock noise).
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 #: Span kinds, outermost to innermost.
 SPAN_KINDS = ("scenario", "phase", "exchange")
@@ -27,14 +27,17 @@ SPAN_KINDS = ("scenario", "phase", "exchange")
 class Span:
     """One node of the trace tree.
 
-    A ``__slots__`` record: an observed run keeps one exchange leaf per
-    audited request for its whole lifetime.  Leaves share the empty
-    ``children`` tuple; spans opened with :meth:`Tracer.span` get a
-    list.  A subclass may build ``attrs`` when read
-    (:class:`repro.obs.runtime.ExchangeLeaf` does).
+    A ``__slots__`` record.  Spans opened with :meth:`Tracer.span` keep
+    their children in a list; leaves share the empty tuple.  An
+    exchange leaf is not stored as a span but as two consecutive items
+    of its parent's list: its audit row (the tuple the cloud's log
+    keeps anyway) and its rule trace (a string), neither of which the
+    cyclic collector tracks.  :attr:`children`, :meth:`walk`,
+    :meth:`signature` and :meth:`to_dict` build its
+    :class:`ExchangeLeaf` view when read.
     """
 
-    __slots__ = ("name", "kind", "start", "end", "outcome", "attrs", "children", "wall_ns")
+    __slots__ = ("name", "kind", "start", "end", "outcome", "attrs", "_children", "wall_ns")
 
     def __init__(
         self,
@@ -53,15 +56,20 @@ class Span:
         self.end = end                      # virtual seconds; None while open
         self.outcome = outcome
         self.attrs: Dict[str, Any] = {} if attrs is None else attrs
-        self.children: Sequence[Span] = [] if children is None else children
+        self._children: Sequence[Any] = [] if children is None else children
         self.wall_ns = wall_ns              # wall-clock cost of the span body
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Span(name={self.name!r}, kind={self.kind!r}, start={self.start!r}, "
             f"end={self.end!r}, outcome={self.outcome!r}, attrs={self.attrs!r}, "
-            f"children={len(self.children)})"
+            f"children={len(self._children)})"
         )
+
+    @property
+    def children(self) -> List["Span"]:
+        """The child spans in order (exchange leaves as views)."""
+        return list(_spans(self._children))
 
     @property
     def duration(self) -> float:
@@ -71,7 +79,7 @@ class Span:
     def walk(self):
         """Yield this span and every descendant, depth first."""
         yield self
-        for child in self.children:
+        for child in _spans(self._children):
             yield from child.walk()
 
     def signature(self) -> tuple:
@@ -87,11 +95,20 @@ class Span:
             None if self.end is None else round(self.end, 9),
             self.outcome,
             tuple(sorted((k, str(v)) for k, v in self.attrs.items())),
-            tuple(child.signature() for child in self.children),
+            tuple(child.signature() for child in _spans(self._children)),
         )
 
     def to_dict(self, include_wall: bool = True) -> Dict[str, Any]:
         """JSON-ready rendering of the subtree."""
+        data = self.node_dict(include_wall)
+        if self._children:
+            data["children"] = [
+                child.to_dict(include_wall) for child in _spans(self._children)
+            ]
+        return data
+
+    def node_dict(self, include_wall: bool = True) -> Dict[str, Any]:
+        """JSON-ready rendering of this span alone, without ``children``."""
         data: Dict[str, Any] = {
             "name": self.name,
             "kind": self.kind,
@@ -103,9 +120,49 @@ class Span:
             data["attrs"] = dict(self.attrs)
         if include_wall:
             data["wall_ns"] = self.wall_ns
-        if self.children:
-            data["children"] = [c.to_dict(include_wall) for c in self.children]
         return data
+
+
+class ExchangeLeaf(Span):
+    """The read-side view of one stored exchange leaf: a zero-duration span.
+
+    Named after the audit row's summary and timed at the row's virtual
+    time, with ``attrs`` built from the row: ``source`` and ``outcome``,
+    plus the causal ``trace`` id the packet brought in (so per-process
+    span trees can be joined into end-to-end chains) and the
+    decision's ``authz`` rule trace (which explains the outcome code),
+    when set.
+    """
+
+    __slots__ = ("row", "authz")
+
+    def __init__(self, row: tuple, authz: str) -> None:
+        self.row = row
+        self.authz = authz
+        self.name = row[3]
+        self.kind = "exchange"
+        self.start = self.end = row[0]
+        self.outcome = "ok"
+        self._children = ()
+        self.wall_ns = 0
+
+    @property
+    def attrs(self) -> Dict[str, Any]:
+        """``source`` and ``outcome``, plus ``trace`` and ``authz`` if set."""
+        row = self.row
+        attrs = {"source": row[1], "outcome": row[4]}
+        if row[6]:
+            attrs["trace"] = row[6]
+        if self.authz:
+            attrs["authz"] = self.authz
+        return attrs
+
+
+def _spans(stored: Sequence[Any]) -> Iterator[Span]:
+    """A stored child list as spans: each (row, rule trace) pair as its leaf view."""
+    items = iter(stored)
+    for item in items:
+        yield ExchangeLeaf(item, next(items)) if item.__class__ is tuple else item
 
 
 class _SpanContext:
@@ -138,7 +195,8 @@ class Tracer:
     """
 
     def __init__(self, max_spans: int = 100_000) -> None:
-        self.roots: List[Span] = []
+        #: top-level spans and exchange leaves, stored as in a span's list
+        self._roots: List[Any] = []
         self.max_spans = max_spans
         self.dropped = 0
         self._stack: List[Span] = []
@@ -175,11 +233,27 @@ class Tracer:
         self._attach(span)
         self._count += 1
 
+    def add_exchange(self, row: tuple, authz: str) -> None:
+        """Attach one exchange leaf under the current span, at its row's time.
+
+        *row* is the exchange's :data:`~repro.cloud.audit.AuditRow` and
+        *authz* the rule trace of its decision (empty when none was
+        made); the pair is stored as is, and read as an
+        :class:`ExchangeLeaf`.
+        """
+        if self._count >= self.max_spans:
+            self.dropped += 1
+            return
+        stored = self._stack[-1]._children if self._stack else self._roots
+        stored.append(row)
+        stored.append(authz)
+        self._count += 1
+
     def _attach(self, span: Span) -> None:
         if self._stack:
-            self._stack[-1].children.append(span)
+            self._stack[-1]._children.append(span)
         else:
-            self.roots.append(span)
+            self._roots.append(span)
 
     def _close(self, span: Span, ok: bool) -> None:
         span.end = self._now()
@@ -195,6 +269,11 @@ class Tracer:
 
     def __len__(self) -> int:
         return self._count
+
+    @property
+    def roots(self) -> List[Span]:
+        """The top-level spans in order (exchange leaves as views)."""
+        return list(_spans(self._roots))
 
     def walk(self):
         """Yield every recorded span, depth first across all roots."""
@@ -228,8 +307,8 @@ class Tracer:
             )
             shown = 0
             elided = 0
-            for child in span.children:
-                if child.kind == "exchange" and not child.children:
+            for child in _spans(span._children):
+                if child.kind == "exchange" and not child._children:
                     shown += 1
                     if shown > max_exchanges_per_span:
                         elided += 1

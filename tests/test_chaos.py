@@ -1,6 +1,8 @@
 """The chaos subsystem: fault plans, injection, resilience, campaigns."""
 
 import dataclasses
+import gc
+import types
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.core.errors import (
 )
 from repro.fleet import FleetDeployment
 from repro.sim.environment import Environment
+from repro.vendors import vendor
 
 
 def make_design(**overrides):
@@ -231,6 +234,34 @@ class TestResilientClient:
         with pytest.raises(CircuitOpen):
             app.query(device_id)  # short-circuited, no network attempts
         assert app._client.stats["short_circuits"] == 1
+
+    def test_retried_drops_leave_no_cyclic_garbage(self):
+        """A retried or given-up delivery leaves no reference cycle behind.
+
+        Only accepted traffic runs here (OZWI heartbeats): a policy
+        rejection still leaves a traceback cycle of its own.
+        """
+        fleet = FleetDeployment(vendor("OZWI"), households=16, seed=1)
+        controller = apply_chaos(fleet, ChaosSpec(plan="flaky-wan"))
+        fleet.setup_all()
+        audited = len(fleet.cloud.audit)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            fleet.run(300.0)
+            gc.collect()
+            garbage = [type(obj) for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert controller.injector.summary()["dropped"] > 0
+        assert controller.resilience_stats()["retries"] > 0
+        assert len(fleet.cloud.audit) > audited
+        assert not fleet.cloud.audit.rejected()
+        assert not [kind for kind in garbage if issubclass(kind, NetworkError)]
+        assert not [kind for kind in garbage if kind is types.FrameType]
 
 
 class TestChaosCampaigns:
