@@ -4,7 +4,8 @@ With authorization expressed as data (:class:`~repro.cloud.pdp.spec.PolicySpec`)
 the paper's design space becomes enumerable *as policies*: every
 consistent knob combination from
 :func:`~repro.analysis.design_space.enumerate_design_space` compiles to
-a validated spec (:func:`enumerate_policy_space`), and the same
+a spec that :func:`~repro.cloud.pdp.engine.compile_design` has validated
+(:func:`enumerate_policy_space`), and the same
 declarative policy can be judged by two independent oracles —
 
 * the closed-form outcome predictor
@@ -31,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.analysis.design_space import enumerate_design_space, predict
 from repro.analysis.protocol_model import check_safety
 from repro.attacks.results import Outcome
+from repro.cloud.pdp.engine import compile_design
 from repro.cloud.pdp.spec import PolicySpec
 from repro.cloud.policy import VendorDesign
 
@@ -63,14 +65,20 @@ class PolicyPoint:
 def enumerate_policy_space(limit: Optional[int] = None) -> Iterator[PolicyPoint]:
     """Compile every consistent grid design into a validated spec.
 
-    ``from_design`` validates each compiled spec, so everything this
-    yields is a well-formed policy a
-    :class:`~repro.cloud.pdp.engine.PolicyDecisionPoint` would accept.
+    Each design goes through
+    :func:`~repro.cloud.pdp.engine.compile_design`, the routine every
+    :class:`~repro.cloud.pdp.engine.PolicyDecisionPoint` compiles with,
+    so everything this yields is a well-formed policy the PDP accepts; a
+    spec that fails validation raises
+    :class:`~repro.cloud.pdp.spec.PolicySpecError` instead of being
+    yielded.  The sweep bypasses the PDP's per-process design memo,
+    which is sized for a catalog, not for the whole grid.
     """
     for index, design in enumerate(enumerate_design_space()):
         if limit is not None and index >= limit:
             return
-        yield PolicyPoint(design=design, spec=PolicySpec.from_design(design))
+        spec, _ = compile_design(design)
+        yield PolicyPoint(design=design, spec=spec)
 
 
 def predicted_reachability(design: VendorDesign) -> Dict[str, bool]:

@@ -3,10 +3,18 @@
 A :class:`PolicyDecisionPoint` binds a validated
 :class:`~repro.cloud.pdp.spec.PolicySpec` to one cloud's stores and
 answers :class:`~repro.cloud.pdp.model.AuthzRequest`\\ s with
-:class:`~repro.cloud.pdp.model.Decision`\\ s.  Rule lists are compiled
-to ``(name, impl, params)`` tuples at construction so the per-request
-loop does no registry lookups; evaluation stops at the first denial
-(exactly where the inline handler would have raised).
+:class:`~repro.cloud.pdp.model.Decision`\\ s.  :func:`compile_spec`
+validates a spec and compiles its rule lists to ``(name, impl, params)``
+tuples, so the per-request loop does no registry lookups; evaluation
+stops at the first denial (exactly where the inline handler would have
+raised).
+
+A cloud built from a :class:`~repro.cloud.policy.VendorDesign`
+(:meth:`PolicyDecisionPoint.for_design`) takes its spec and compiled
+table from a bounded per-process memo of :func:`compile_design`, so a
+battery of short-lived worlds compiles and validates each design once.
+The memo holds only specs and rule tables, never a service; every PDP
+of one design shares the table, which no rule writes to.
 
 The decision most recently produced is retained until
 :meth:`take_last_decision` collects it — the service's audit/forensic
@@ -18,12 +26,57 @@ signature.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.pdp.model import AuthzRequest, Decision, RuleEval
 from repro.cloud.pdp.rules import RULES, EvalContext
 from repro.cloud.pdp.spec import PolicySpec, validate_spec
+from repro.cloud.policy import VendorDesign
+
+#: per action, the compiled rules ``(name, impl, params, shared
+#: pass-eval)`` — the pass-side :class:`RuleEval` is immutable, so one
+#: instance per compiled rule serves every decision without allocating
+CompiledRules = Dict[str, Tuple[Tuple[str, Any, Dict[str, Any], RuleEval], ...]]
+
+#: how many designs' compiled policies one process keeps (the catalog's
+#: 13 fit with room for a few synthetic ones)
+DESIGN_CACHE_SIZE = 32
+
+
+def compile_spec(spec: PolicySpec) -> CompiledRules:
+    """Validate *spec* and compile its rule lists for evaluation.
+
+    The one compile routine: raises
+    :class:`~repro.cloud.pdp.spec.PolicySpecError` on a malformed spec.
+    """
+    validate_spec(spec)
+    return {
+        action: tuple(
+            (ref.rule, RULES[ref.rule].impl, dict(ref.params),
+             RuleEval(ref.rule, "pass"))
+            for ref in refs
+        )
+        for action, refs in spec.actions.items()
+    }
+
+
+def compile_design(design: VendorDesign) -> Tuple[PolicySpec, CompiledRules]:
+    """*design*'s knobs as a validated spec plus its compiled rules."""
+    spec = PolicySpec.from_design(design)
+    return spec, compile_spec(spec)
+
+
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _design_memo(design: VendorDesign, knob_types: tuple) -> Tuple[PolicySpec, CompiledRules]:
+    """:func:`compile_design`, memoised per design.
+
+    *knob_types* keeps designs apart whose knobs compare equal but differ
+    in type (``1`` and ``True``, ``30`` and ``30.0``): they validate and
+    serialise differently.
+    """
+    return compile_design(design)
 
 
 class PolicyDecisionPoint:
@@ -33,21 +86,15 @@ class PolicyDecisionPoint:
         "service", "spec", "_compiled", "_allow_traces", "_last", "_timed", "last_ns",
     )
 
-    def __init__(self, service: Any, spec: PolicySpec) -> None:
-        validate_spec(spec)
+    def __init__(
+        self, service: Any, spec: PolicySpec,
+        compiled: Optional[CompiledRules] = None,
+    ) -> None:
         self.service = service
         self.spec = spec
-        #: per-rule entries ``(name, impl, params, shared pass-eval)`` —
-        #: the pass-side :class:`RuleEval` is immutable, so one instance
-        #: per compiled rule serves every decision without allocating
-        self._compiled: Dict[str, Tuple[Tuple[str, Any, Dict[str, Any], RuleEval], ...]] = {
-            action: tuple(
-                (ref.rule, RULES[ref.rule].impl, dict(ref.params),
-                 RuleEval(ref.rule, "pass"))
-                for ref in refs
-            )
-            for action, refs in spec.actions.items()
-        }
+        #: *spec* compiled by :func:`compile_spec` (validated), unless the
+        #: caller passes that result in
+        self._compiled = compile_spec(spec) if compiled is None else compiled
         #: per action, the rendered trace every allowed decision shares
         #: (an allow passes every rule, in order); filled when timed
         self._allow_traces: Dict[str, str] = {}
@@ -57,6 +104,12 @@ class PolicyDecisionPoint:
         #: wall-clock nanoseconds of the most recent decision (timed
         #: services only)
         self.last_ns = 0
+
+    @classmethod
+    def for_design(cls, service: Any, design: VendorDesign) -> "PolicyDecisionPoint":
+        """A PDP for *design*, compiled once per process and design."""
+        spec, compiled = _design_memo(design, tuple(map(type, vars(design).values())))
+        return cls(service, spec, compiled)
 
     def decide(self, request: AuthzRequest) -> Decision:
         """Evaluate *request* against its action's rule list, in order.

@@ -18,7 +18,7 @@ from repro.cloud.audit import AuditLog
 from repro.cloud.authz import AuthorizationCache, AuthzVersion
 from repro.cloud.bindings import BindingStore
 from repro.cloud.handlers import EndpointHandlers
-from repro.cloud.pdp import PolicyDecisionPoint, PolicySpec
+from repro.cloud.pdp import PolicyDecisionPoint
 from repro.cloud.policy import VendorDesign
 from repro.cloud.registry import DeviceRegistry
 from repro.cloud.events import EventFeed, UserEvent
@@ -133,10 +133,10 @@ class CloudService:
         #: built and no clock is read per packet (the PDP reads it too)
         self._observed = self._observer is not NULL_OBSERVER
         # Authorization policy: the design's knobs compiled to ordered
-        # declarative rules, evaluated by one decision point; handlers
-        # are thin enforcement points over its decisions.
-        self.policy_spec = PolicySpec.from_design(design)
-        self.pdp = PolicyDecisionPoint(self, self.policy_spec)
+        # declarative rules (once per process and design), evaluated by
+        # one decision point; handlers are thin enforcement points over
+        # its decisions.
+        self.pdp = PolicyDecisionPoint.for_design(self, design)
         instrumented = self._observer if self._observed else None
         self.shadows = ShadowStore(observer=instrumented)
         self.relay = Relay()

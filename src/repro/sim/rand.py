@@ -5,6 +5,15 @@ environment so that token generation, MAC assignment, telemetry noise
 and attack sampling are all reproducible from one seed.  Tokens are
 generated from the seeded stream — they model *unguessable* secrets, not
 cryptographic ones (see DESIGN.md §7).
+
+Identifier draws (:meth:`DeterministicRandom.token`,
+:meth:`~DeterministicRandom.hex_string`,
+:meth:`~DeterministicRandom.serial_digits`,
+:meth:`~DeterministicRandom.mac_suffix`) are ``random.choice``-identical:
+each character is drawn the way CPython's ``choice`` draws an index, so
+the strings and the stream position after them equal a per-character
+``random.Random.choice`` loop on the same seed, without its per-call
+overhead.
 """
 
 from __future__ import annotations
@@ -46,21 +55,41 @@ class DeterministicRandom:
 
     # -- identifiers -----------------------------------------------------
 
+    def _draw(self, alphabet: str, length: int) -> str:
+        """*length* characters of *alphabet*, as ``random.choice`` picks them.
+
+        CPython's ``choice`` indexes with ``_randbelow(n)``: draw
+        ``getrandbits(n.bit_length())`` and redraw while the result is
+        ``>= n``.  Doing the same here consumes the stream word for word.
+        """
+        getrandbits = self._rng.getrandbits
+        size = len(alphabet)
+        bits = size.bit_length()
+        chars = []
+        append = chars.append
+        for _ in range(length):
+            index = getrandbits(bits)
+            while index >= size:
+                index = getrandbits(bits)
+            append(alphabet[index])
+        return "".join(chars)
+
     def hex_string(self, length: int) -> str:
         """A lowercase hex string of *length* characters."""
-        return "".join(self._rng.choice(_HEX) for _ in range(length))
+        return self._draw(_HEX, length)
 
     def token(self, length: int = 32) -> str:
         """An opaque session/binding token (alphanumeric)."""
-        return "".join(self._rng.choice(_ALNUM) for _ in range(length))
+        return self._draw(_ALNUM, length)
 
     def mac_suffix(self) -> str:
         """The 3 device-specific bytes of a MAC address, as ``xx:xx:xx``."""
-        return ":".join(self.hex_string(2) for _ in range(3))
+        digits = self._draw(_HEX, 6)
+        return f"{digits[0:2]}:{digits[2:4]}:{digits[4:6]}"
 
     def serial_digits(self, digits: int) -> str:
         """A numeric serial of exactly *digits* digits (may lead with 0)."""
-        return "".join(self._rng.choice(string.digits) for _ in range(digits))
+        return self._draw(string.digits, digits)
 
     # -- state capture ---------------------------------------------------
 

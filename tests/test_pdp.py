@@ -409,6 +409,24 @@ class TestPolicySpace:
         assert count >= 100
         assert len(digests) >= 100
 
+    def test_enumerator_raises_instead_of_yielding_an_invalid_spec(self, monkeypatch):
+        from repro.analysis.policy_space import enumerate_policy_space
+
+        compiled = PolicySpec.from_design
+
+        def from_design(design):
+            spec = compiled(design)
+            if len(yielded) == 2:
+                spec.actions.pop("bind")
+            return spec
+
+        monkeypatch.setattr(PolicySpec, "from_design", staticmethod(from_design))
+        yielded = []
+        with pytest.raises(PolicySpecError, match="no rules for action"):
+            for point in enumerate_policy_space(limit=5):
+                yielded.append(point)
+        assert len(yielded) == 2
+
     def test_differential_check_flags_divergence_classes(self):
         from repro.analysis.policy_space import differential_check
 
