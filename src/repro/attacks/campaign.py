@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+from repro.attacks.id_inference import confirms_device
 from repro.core.errors import ConfigurationError, NetworkError, RequestRejected
 from repro.core.messages import BindMessage, DeviceFetch, UnbindMessage
 from repro.fleet import FleetDeployment
@@ -145,7 +146,7 @@ def campaign_binding_dos(
                     accepted, code = _send(
                         fleet, BindMessage(device_id=candidate, user_token=token)
                     )
-                    if accepted or code not in ("unknown-device", "network-error"):
+                    if confirms_device(accepted, code):
                         hits += 1
 
         denied = 0

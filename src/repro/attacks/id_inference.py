@@ -34,21 +34,31 @@ class ProbeStats:
         return len(self.found) / self.attempted if self.attempted else 0.0
 
 
+#: Bind answers that say nothing about whether the candidate exists:
+#: ``unknown-device`` (it does not), ``rate-limited`` (the countermeasure
+#: working) and ``network-error`` (the probe was lost on the way).
+MISS_CODES = frozenset({"unknown-device", "rate-limited", "network-error"})
+
+
+def confirms_device(accepted: bool, code: str) -> bool:
+    """Whether a Bind probe's answer confirms a registered device ID.
+
+    Success and every authorization failure confirm it; the
+    :data:`MISS_CODES` do not.
+    """
+    return accepted or code not in MISS_CODES
+
+
 def probe_device_id(attacker: RemoteAttacker, candidate: str) -> bool:
     """One oracle query: is *candidate* a registered device?
 
-    Sends a Bind for the candidate and inspects the answer.  Any code
-    other than ``unknown-device`` — including success and every
-    authorization failure — confirms the ID exists.  ``rate-limited``
-    answers carry no information (the countermeasure working) and count
-    as a miss.
+    Sends a Bind for the candidate and judges the answer with
+    :func:`confirms_device`.
     """
     attacker.login()
     message = BindMessage(device_id=candidate, user_token=attacker.app.user_token)
     accepted, code, _ = attacker.send(message)
-    if accepted:
-        return True
-    return code not in ("unknown-device", "rate-limited")
+    return confirms_device(accepted, code)
 
 
 def enumerate_ids(

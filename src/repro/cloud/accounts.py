@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
 from repro.core.errors import AuthenticationFailed, ConfigurationError
@@ -36,10 +36,11 @@ class AccountStore(RecordStoreBase):
     """Registration, login and token-based user authentication."""
 
     state_name = "accounts"
+    key_field = "user_id"
 
     def __init__(self, tokens: TokenService) -> None:
         self._tokens = tokens
-        self._accounts: Dict[str, Account] = {}
+        self._records: Dict[str, Account] = {}
 
     # -- registration --------------------------------------------------------
 
@@ -47,22 +48,24 @@ class AccountStore(RecordStoreBase):
         """Create a new account (sign-up)."""
         if not user_id or not password:
             raise ConfigurationError("user id and password must be non-empty")
-        if user_id in self._accounts:
+        if ":" in user_id:  # share keys are ``device:grantee``
+            raise ConfigurationError(f"user id {user_id!r} must not contain ':'")
+        if user_id in self._records:
             raise ConfigurationError(f"account {user_id!r} already exists")
         salt = hashlib.sha256(user_id.encode("utf-8")).hexdigest()[:16]
         account = Account(user_id, salt, _digest(password, salt), now)
-        self._accounts[user_id] = account
+        self._records[user_id] = account
         self._record_put(self.to_record(account))
         return account
 
     def exists(self, user_id: str) -> bool:
-        return user_id in self._accounts
+        return user_id in self._records
 
     # -- authentication --------------------------------------------------------
 
     def check_password(self, user_id: str, password: str) -> bool:
         """Constant-shape password check (no user-existence oracle)."""
-        account = self._accounts.get(user_id)
+        account = self._records.get(user_id)
         if account is None:
             return False
         return account.password_digest == _digest(password, account.salt)
@@ -87,7 +90,7 @@ class AccountStore(RecordStoreBase):
     def logout(self, user_token: str) -> bool:
         return self._tokens.revoke(user_token)
 
-    # -- StateStore protocol --------------------------------------------------
+    # -- record codec ---------------------------------------------------------
 
     def to_record(self, obj: Account) -> Record:
         """One account as a snapshot/journal record."""
@@ -106,37 +109,3 @@ class AccountStore(RecordStoreBase):
             record["password_digest"],
             record["created_at"],
         )
-
-    def record_key(self, record: Record) -> str:
-        """Accounts are keyed by user id."""
-        return record["user_id"]
-
-    def record_count(self) -> int:
-        """Number of registered accounts."""
-        return len(self._accounts)
-
-    def snapshot_state(self) -> List[Record]:
-        """Every account record, sorted by user id."""
-        return [
-            self.to_record(self._accounts[user_id])
-            for user_id in sorted(self._accounts)
-        ]
-
-    def apply_record(self, record: Record) -> Account:
-        """Upsert one account (restore / journal replay / clone)."""
-        account = self.from_record(record)
-        self._accounts[account.user_id] = account
-        self._record_put(record)
-        return account
-
-    def discard_record(self, key: str) -> bool:
-        """Remove one account by user id."""
-        existed = self._accounts.pop(key, None) is not None
-        if existed:
-            self._record_del(key)
-        return existed
-
-    def find_record(self, key: str) -> Optional[Record]:
-        """O(1) lookup of one account record."""
-        account = self._accounts.get(key)
-        return self.to_record(account) if account is not None else None

@@ -42,24 +42,25 @@ class BindingStore(RecordStoreBase):
     """Bindings indexed by device; enforces the one-binding invariant."""
 
     state_name = "bindings"
+    key_field = "device_id"
 
     def __init__(self) -> None:
-        self._by_device: Dict[str, Binding] = {}
+        self._records: Dict[str, Binding] = {}
 
     def get(self, device_id: str) -> Optional[Binding]:
-        return self._by_device.get(device_id)
+        return self._records.get(device_id)
 
     def bound_user(self, device_id: str) -> Optional[str]:
-        binding = self._by_device.get(device_id)
+        binding = self._records.get(device_id)
         return binding.user_id if binding else None
 
     def is_bound(self, device_id: str) -> bool:
-        return device_id in self._by_device
+        return device_id in self._records
 
     def devices_of(self, user_id: str) -> List[str]:
         return sorted(
             device_id
-            for device_id, binding in self._by_device.items()
+            for device_id, binding in self._records.items()
             if binding.user_id == user_id
         )
 
@@ -72,13 +73,13 @@ class BindingStore(RecordStoreBase):
         replace: bool = False,
     ) -> Binding:
         """Create a binding; replacing an existing one requires *replace*."""
-        existing = self._by_device.get(device_id)
+        existing = self._records.get(device_id)
         if existing is not None and not replace:
             raise BindingConflict(
                 "already-bound", f"device {device_id!r} is bound to another user"
             )
         binding = Binding(device_id, user_id, now, post_token)
-        self._by_device[device_id] = binding
+        self._records[device_id] = binding
         self._record_put(self.to_record(binding))
         return binding
 
@@ -89,7 +90,7 @@ class BindingStore(RecordStoreBase):
         write-ahead journal sees the flag flip; returns the (possibly
         unchanged) confirmation state, ``False`` when unbound.
         """
-        binding = self._by_device.get(device_id)
+        binding = self._records.get(device_id)
         if binding is None:
             return False
         before = binding.device_confirmed
@@ -101,16 +102,13 @@ class BindingStore(RecordStoreBase):
     def revoke(self, device_id: str) -> Binding:
         """Remove and return the binding; raises if none exists."""
         try:
-            binding = self._by_device.pop(device_id)
+            binding = self._records.pop(device_id)
         except KeyError:
             raise BindingConflict("not-bound", f"device {device_id!r} has no binding") from None
         self._record_del(device_id)
         return binding
 
-    def count(self) -> int:
-        return len(self._by_device)
-
-    # -- StateStore protocol --------------------------------------------------
+    # -- record codec ---------------------------------------------------------
 
     def to_record(self, obj: Binding) -> Record:
         """One binding as a snapshot/journal record."""
@@ -132,37 +130,3 @@ class BindingStore(RecordStoreBase):
         )
         binding.device_confirmed = bool(record.get("device_confirmed", False))
         return binding
-
-    def record_key(self, record: Record) -> str:
-        """Bindings are keyed by device id (the one-binding invariant)."""
-        return record["device_id"]
-
-    def record_count(self) -> int:
-        """Number of live bindings."""
-        return len(self._by_device)
-
-    def snapshot_state(self) -> List[Record]:
-        """Every binding record, sorted by device id."""
-        return [
-            self.to_record(self._by_device[device_id])
-            for device_id in sorted(self._by_device)
-        ]
-
-    def apply_record(self, record: Record) -> Binding:
-        """Upsert one binding (restore / journal replay / clone)."""
-        binding = self.from_record(record)
-        self._by_device[binding.device_id] = binding
-        self._record_put(record)
-        return binding
-
-    def discard_record(self, key: str) -> bool:
-        """Remove one binding by device id."""
-        existed = self._by_device.pop(key, None) is not None
-        if existed:
-            self._record_del(key)
-        return existed
-
-    def find_record(self, key: str) -> Optional[Record]:
-        """O(1) lookup of one binding record (the fleet clone path)."""
-        binding = self._by_device.get(key)
-        return self.to_record(binding) if binding is not None else None

@@ -12,9 +12,10 @@ much detectability it buys against each attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
+from repro.core.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class EventFeed(RecordStoreBase):
     def count(self, user_id: str) -> int:
         return len(self._inbox.get(user_id, []))
 
-    # -- StateStore protocol --------------------------------------------------
+    # -- records: per-user sequence rows and cursors -------------------------
 
     @staticmethod
     def _event_record(user_id: str, index: int, event: UserEvent) -> Record:
@@ -86,13 +87,23 @@ class EventFeed(RecordStoreBase):
         """One poll cursor as a record."""
         return {"type": "cursor", "user_id": user_id, "position": position}
 
-    def to_record(self, obj: Record) -> Record:
-        """Records pass through unchanged (two shapes: event, cursor)."""
-        return dict(obj)
+    def from_record(self, record: Record) -> Tuple[str, int, Optional[UserEvent]]:
+        """Decode one record to ``(user, index, event)``.
 
-    def from_record(self, record: Record) -> Record:
-        """Records decode to themselves; :meth:`apply_record` interprets."""
-        return dict(record)
+        A cursor decodes to its position and no event.  An event's index
+        must be a non-negative integer.
+        """
+        user_id = record["user_id"]
+        if record.get("type") == "cursor":
+            return user_id, record["position"], None
+        index = record["index"]
+        if type(index) is not int or index < 0:
+            raise ValueError(f"index {index!r} is not a non-negative integer")
+        event = UserEvent(
+            record["time"], record["kind"], record["device_id"],
+            record.get("detail", ""),
+        )
+        return user_id, index, event
 
     def record_key(self, record: Record) -> str:
         """``event:<user>:<zero-padded index>`` or ``cursor:<user>``."""
@@ -118,22 +129,25 @@ class EventFeed(RecordStoreBase):
         return sorted(records, key=self.record_key)
 
     def apply_record(self, record: Record) -> Record:
-        """Apply one event or cursor record (restore / replay / clone)."""
-        if record.get("type") == "cursor":
-            self._cursor[record["user_id"]] = record["position"]
+        """Apply one event or cursor record (restore / replay / clone).
+
+        An index already present is overwritten in place and the next
+        index is appended; a later one would leave a gap and is refused.
+        """
+        user_id, index, event = self._decode(record)
+        if event is None:
+            self._cursor[user_id] = index
         else:
-            inbox = self._inbox.setdefault(record["user_id"], [])
-            index = record["index"]
-            event = UserEvent(
-                record["time"], record["kind"], record["device_id"],
-                record.get("detail", ""),
-            )
-            if index == len(inbox):
-                inbox.append(event)
-            elif 0 <= index < len(inbox):
+            inbox = self._inbox.setdefault(user_id, [])
+            if index < len(inbox):
                 inbox[index] = event
-            else:  # replay can't leave holes; indexes arrive in order
+            elif index == len(inbox):
                 inbox.append(event)
+            else:
+                raise ConfigurationError(
+                    f"events record index {index} leaves a gap after "
+                    f"{len(inbox)} event(s) of {user_id!r}"
+                )
         self._record_put(record)
         return record
 

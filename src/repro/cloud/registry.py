@@ -10,7 +10,7 @@ real device out under DevToken designs (Section VI-B, device #3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
 from repro.core.errors import ConfigurationError, UnknownDevice
@@ -37,10 +37,11 @@ class DeviceRegistry(RecordStoreBase):
     """Registered devices and their authentication material."""
 
     state_name = "devices"
+    key_field = "device_id"
 
     def __init__(self, tokens: TokenService) -> None:
         self._tokens = tokens
-        self._devices: Dict[str, DeviceRecord] = {}
+        self._records: Dict[str, DeviceRecord] = {}
 
     # -- manufacture ----------------------------------------------------------
 
@@ -48,24 +49,24 @@ class DeviceRegistry(RecordStoreBase):
         """Record a freshly manufactured device."""
         if not device_id:
             raise ConfigurationError("device id must be non-empty")
-        if device_id in self._devices:
+        if device_id in self._records:
             raise ConfigurationError(f"device {device_id!r} already manufactured")
         record = DeviceRecord(device_id, model, public_key)
-        self._devices[device_id] = record
+        self._records[device_id] = record
         self._record_put(self.to_record(record))
         return record
 
     def is_registered(self, device_id: Optional[str]) -> bool:
-        return device_id is not None and device_id in self._devices
+        return device_id is not None and device_id in self._records
 
     def get(self, device_id: str) -> DeviceRecord:
         try:
-            return self._devices[device_id]
+            return self._records[device_id]
         except KeyError:
             raise UnknownDevice(device_id) from None
 
     def all_ids(self):
-        return sorted(self._devices)
+        return sorted(self._records)
 
     # -- DevToken lifecycle ------------------------------------------------------
 
@@ -96,12 +97,12 @@ class DeviceRegistry(RecordStoreBase):
         """Type-1 authentication: is this the device's live token?"""
         if device_id is None or dev_token is None:
             return False
-        record = self._devices.get(device_id)
+        record = self._records.get(device_id)
         if record is None:
             return False
         return record.dev_token is not None and record.dev_token == dev_token
 
-    # -- StateStore protocol --------------------------------------------------
+    # -- record codec ---------------------------------------------------------
 
     def to_record(self, obj: DeviceRecord) -> Record:
         """One device record (public key serialized as id + material)."""
@@ -133,37 +134,3 @@ class DeviceRegistry(RecordStoreBase):
             dev_token=record.get("dev_token"),
             dev_token_requested_by=record.get("dev_token_requested_by"),
         )
-
-    def record_key(self, record: Record) -> str:
-        """Devices are keyed by device id."""
-        return record["device_id"]
-
-    def record_count(self) -> int:
-        """Number of manufactured devices."""
-        return len(self._devices)
-
-    def snapshot_state(self) -> List[Record]:
-        """Every device record, sorted by device id."""
-        return [
-            self.to_record(self._devices[device_id])
-            for device_id in sorted(self._devices)
-        ]
-
-    def apply_record(self, record: Record) -> DeviceRecord:
-        """Upsert one device record (restore / journal replay / clone)."""
-        device = self.from_record(record)
-        self._devices[device.device_id] = device
-        self._record_put(record)
-        return device
-
-    def discard_record(self, key: str) -> bool:
-        """Remove one device by device id."""
-        existed = self._devices.pop(key, None) is not None
-        if existed:
-            self._record_del(key)
-        return existed
-
-    def find_record(self, key: str) -> Optional[Record]:
-        """O(1) lookup of one device record."""
-        record = self._devices.get(key)
-        return self.to_record(record) if record is not None else None

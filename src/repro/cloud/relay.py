@@ -51,18 +51,19 @@ class TelemetryRecord:
 class Relay(RecordStoreBase):
     """Per-device mailboxes for both directions of the data plane.
 
-    As a :class:`~repro.cloud.state.protocol.StateStore` the relay
-    persists **schedules only**: command queues and latest telemetry are
-    in-flight data that a restart legitimately drops (the device re-polls
-    and re-reports), while a schedule is durable configuration the user
-    expects to survive.
+    As a record store the relay persists **schedules only**: command
+    queues and latest telemetry are in-flight data that a restart
+    legitimately drops (the device re-polls and re-reports), while a
+    schedule is durable configuration the user expects to survive.  Each
+    schedule is kept in its record shape, ``{"device_id", "schedule"}``.
     """
 
     state_name = "relay"
+    key_field = "device_id"
 
     def __init__(self) -> None:
         self._commands: Dict[str, List[QueuedCommand]] = {}
-        self._schedules: Dict[str, Mapping[str, Any]] = {}
+        self._records: Dict[str, Record] = {}
         self._telemetry: Dict[str, TelemetryRecord] = {}
 
     # -- downstream: user -> device ------------------------------------------
@@ -79,15 +80,14 @@ class Relay(RecordStoreBase):
         return list(self._commands.get(device_id, []))
 
     def set_schedule(self, device_id: str, schedule: Mapping[str, Any]) -> None:
-        self._schedules[device_id] = dict(schedule)
-        self._record_put({"device_id": device_id, "schedule": dict(schedule)})
+        self.apply_record({"device_id": device_id, "schedule": dict(schedule)})
 
     def schedule_of(self, device_id: str) -> Optional[Mapping[str, Any]]:
-        return self._schedules.get(device_id)
+        entry = self._records.get(device_id)
+        return entry["schedule"] if entry is not None else None
 
     def clear_schedule(self, device_id: str) -> None:
-        if self._schedules.pop(device_id, None) is not None:
-            self._record_del(device_id)
+        self.discard_record(device_id)
 
     # -- upstream: device -> user ----------------------------------------------
 
@@ -104,11 +104,8 @@ class Relay(RecordStoreBase):
     def forget_device(self, device_id: str) -> None:
         """Drop all relay state for a device (unbinding cleanup)."""
         self._commands.pop(device_id, None)
-        had_schedule = self._schedules.pop(device_id, None) is not None
         self._telemetry.pop(device_id, None)
-        if had_schedule:
-            self._record_del(device_id)
-        else:
+        if not self.discard_record(device_id):
             self._note_mutation()
 
     # -- volatile capture (warm-start restore) --------------------------------
@@ -139,47 +136,11 @@ class Relay(RecordStoreBase):
         }
         self._telemetry = dict(data.get("telemetry", {}))
 
-    # -- StateStore protocol --------------------------------------------------
+    # -- record codec ---------------------------------------------------------
 
-    def to_record(self, obj: Any) -> Record:
-        """One ``(device_id, schedule)`` pair as a record."""
-        device_id, schedule = obj
-        return {"device_id": device_id, "schedule": dict(schedule)}
+    def to_record(self, obj: Record) -> Record:
+        """A stored schedule entry as a record (the schedule copied)."""
+        return {"device_id": obj["device_id"], "schedule": dict(obj["schedule"])}
 
-    def from_record(self, record: Record) -> Any:
-        """Decode one schedule record back to a ``(device_id, schedule)`` pair."""
-        return (record["device_id"], dict(record["schedule"]))
-
-    def record_key(self, record: Record) -> str:
-        """Schedules are keyed by device id."""
-        return record["device_id"]
-
-    def record_count(self) -> int:
-        """Number of stored schedules (queues/telemetry are volatile)."""
-        return len(self._schedules)
-
-    def snapshot_state(self) -> List[Record]:
-        """Every schedule record, sorted by device id."""
-        return [
-            self.to_record((device_id, self._schedules[device_id]))
-            for device_id in sorted(self._schedules)
-        ]
-
-    def apply_record(self, record: Record) -> Any:
-        """Upsert one schedule (restore / journal replay / clone)."""
-        device_id, schedule = self.from_record(record)
-        self._schedules[device_id] = schedule
-        self._record_put(record)
-        return (device_id, schedule)
-
-    def discard_record(self, key: str) -> bool:
-        """Remove one schedule by device id."""
-        existed = self._schedules.pop(key, None) is not None
-        if existed:
-            self._record_del(key)
-        return existed
-
-    def find_record(self, key: str) -> Optional[Record]:
-        """O(1) lookup of one schedule record."""
-        schedule = self._schedules.get(key)
-        return self.to_record((key, schedule)) if schedule is not None else None
+    #: Records and stored entries share one shape.
+    from_record = to_record

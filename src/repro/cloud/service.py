@@ -27,7 +27,7 @@ from repro.cloud.shadows import ShadowStore
 from repro.cloud.sharing import ShareStore
 from repro.cloud.state.backends import StateBackend
 from repro.cloud.state.journal import meta_entry
-from repro.cloud.state.protocol import StateStore
+from repro.cloud.state.protocol import RecordStoreBase
 from repro.cloud.state.snapshot import build_snapshot, load_snapshot
 from repro.core.errors import ConfigurationError, ProtocolError, RequestRejected
 from repro.core.messages import (
@@ -249,7 +249,7 @@ class CloudService:
 
     # -- the unified state layer ---------------------------------------------
 
-    def state_stores(self) -> Dict[str, StateStore]:
+    def state_stores(self) -> Dict[str, RecordStoreBase]:
         """Every state store, keyed by section name, in restore order.
 
         Order matters on restore/replay: accounts and tokens come back

@@ -43,9 +43,10 @@ class ShadowStore(RecordStoreBase):
 
     state_name = "shadows"
     durable = False
+    key_field = "device_id"
 
     def __init__(self, observer: Optional[Observer] = None) -> None:
-        self._shadows: Dict[str, DeviceShadow] = {}
+        self._records: Dict[str, DeviceShadow] = {}
         self._registrations: Dict[str, RegistrationMark] = {}
         self._observer = observer
 
@@ -54,7 +55,7 @@ class ShadowStore(RecordStoreBase):
         shadow = DeviceShadow(device_id)
         if self._observer is not None:
             shadow.on_transition = self._emit_transition
-        self._shadows[device_id] = shadow
+        self._records[device_id] = shadow
         self._note_mutation()
         return shadow
 
@@ -70,15 +71,15 @@ class ShadowStore(RecordStoreBase):
 
     def get(self, device_id: str) -> DeviceShadow:
         try:
-            return self._shadows[device_id]
+            return self._records[device_id]
         except KeyError:
             raise UnknownDevice(device_id) from None
 
     def has(self, device_id: str) -> bool:
-        return device_id in self._shadows
+        return device_id in self._records
 
     def all(self) -> List[DeviceShadow]:
-        return [self._shadows[device_id] for device_id in sorted(self._shadows)]
+        return [self._records[device_id] for device_id in sorted(self._records)]
 
     # -- registration marks (device #7's binding check) -----------------------
 
@@ -97,8 +98,8 @@ class ShadowStore(RecordStoreBase):
         Returns the IDs that transitioned (used by the audit log).
         """
         expired: List[str] = []
-        for device_id in sorted(self._shadows):
-            shadow = self._shadows[device_id]
+        for device_id in sorted(self._records):
+            shadow = self._records[device_id]
             if not shadow.is_online:
                 continue
             if shadow.last_seen is None or now - shadow.last_seen > timeout:
@@ -108,7 +109,7 @@ class ShadowStore(RecordStoreBase):
             self._note_mutation()
         return expired
 
-    # -- StateStore protocol --------------------------------------------------
+    # -- record codec ---------------------------------------------------------
 
     def to_record(self, obj: DeviceShadow) -> Record:
         """One shadow as a replayable record (events, not raw state)."""
@@ -129,19 +130,17 @@ class ShadowStore(RecordStoreBase):
         }
 
     def from_record(self, record: Record) -> DeviceShadow:
-        """Decode one shadow by replaying its canonical events.
+        """Rebuild one shadow by replaying its record's facts.
 
-        The record names the *facts* (online, bound user, marks), and the
-        decode replays them through the Figure 2 machine — so a cloned
-        shadow takes real transitions and fires the same observer hooks a
-        live binding flow would.
+        The record names the *facts* (online, bound user, marks).  The
+        shadow is recreated through :meth:`create`, so the observer hook
+        is wired before any transition fires, and the facts are replayed
+        through the Figure 2 machine in canonical event order — a clone
+        takes real transitions and fires the same observer hooks a live
+        binding flow would.
         """
-        shadow = DeviceShadow(record["device_id"])
-        self._replay(shadow, record)
-        return shadow
-
-    def _replay(self, shadow: DeviceShadow, record: Record) -> None:
-        """Apply a record's facts to *shadow* in canonical event order."""
+        device_id = record["device_id"]
+        shadow = self.create(device_id)
         time = record.get("time", 0.0)
         if record.get("online"):
             shadow.mark_status(time, connection_id=record.get("connection_id"))
@@ -149,50 +148,14 @@ class ShadowStore(RecordStoreBase):
         shadow.reported_firmware = record.get("reported_firmware", "")
         if record.get("bound_user") is not None:
             shadow.mark_bound(record["bound_user"], time)
-
-    def record_key(self, record: Record) -> str:
-        """Shadows are keyed by device id."""
-        return record["device_id"]
-
-    def record_count(self) -> int:
-        """Number of live shadows."""
-        return len(self._shadows)
-
-    def snapshot_state(self) -> List[Record]:
-        """Every shadow record, sorted by device id (diagnostics only)."""
-        return [
-            self.to_record(self._shadows[device_id])
-            for device_id in sorted(self._shadows)
-        ]
-
-    def apply_record(self, record: Record) -> DeviceShadow:
-        """Rebuild one shadow from a record, replaying its events.
-
-        The shadow is recreated through :meth:`create` so the observer
-        hook is wired before any transition fires — a clone emits the
-        same ``on_shadow_transition`` sequence a live flow would.
-        """
-        shadow = self.create(record["device_id"])
-        self._replay(shadow, record)
         registration = record.get("registration")
         if registration is not None:
             self.mark_registration(
-                record["device_id"],
-                registration["time"],
-                IpAddress(registration["source_ip"]),
+                device_id, registration["time"], IpAddress(registration["source_ip"])
             )
-        self._record_put(record)
         return shadow
 
     def discard_record(self, key: str) -> bool:
-        """Remove one shadow (and its registration mark) by device id."""
-        existed = self._shadows.pop(key, None) is not None
+        """Remove one shadow and its registration mark by device id."""
         self._registrations.pop(key, None)
-        if existed:
-            self._record_del(key)
-        return existed
-
-    def find_record(self, key: str) -> Optional[Record]:
-        """O(1) lookup of one shadow record (the fleet clone path)."""
-        shadow = self._shadows.get(key)
-        return self.to_record(shadow) if shadow is not None else None
+        return super().discard_record(key)

@@ -50,11 +50,7 @@ class ShareStore(RecordStoreBase):
 
     def revoke(self, device_id: str, grantee: str) -> bool:
         """Withdraw one grant; returns whether it existed."""
-        grants = self._by_device.get(device_id, {})
-        revoked = grants.pop(grantee, None) is not None
-        if revoked:
-            self._record_del(f"{device_id}:{grantee}")
-        return revoked
+        return self.discard_record(f"{device_id}:{grantee}")
 
     def revoke_all(self, device_id: str) -> int:
         """Binding teardown: every grant dies with the binding."""
@@ -76,7 +72,7 @@ class ShareStore(RecordStoreBase):
             if user in grants
         )
 
-    # -- StateStore protocol --------------------------------------------------
+    # -- records: nested by device, keyed ``device:grantee`` ------------------
 
     def to_record(self, obj: ShareGrant) -> Record:
         """One grant as a snapshot/journal record."""
@@ -97,7 +93,11 @@ class ShareStore(RecordStoreBase):
         )
 
     def record_key(self, record: Record) -> str:
-        """Grants are keyed by ``device:grantee`` (one grant per pair)."""
+        """Grants are keyed by ``device:grantee`` (one grant per pair).
+
+        Device IDs may contain colons (MAC-address schemes); user IDs do
+        not, so a key splits at its last colon.
+        """
         return f"{record['device_id']}:{record['grantee']}"
 
     def record_count(self) -> int:
@@ -114,14 +114,14 @@ class ShareStore(RecordStoreBase):
 
     def apply_record(self, record: Record) -> ShareGrant:
         """Upsert one grant (restore / journal replay / clone)."""
-        grant = self.from_record(record)
+        grant = self._decode(record)
         self._by_device.setdefault(grant.device_id, {})[grant.grantee] = grant
         self._record_put(record)
         return grant
 
     def discard_record(self, key: str) -> bool:
         """Remove one grant by its ``device:grantee`` key."""
-        device_id, _, grantee = key.partition(":")
+        device_id, _, grantee = key.rpartition(":")
         grants = self._by_device.get(device_id, {})
         existed = grants.pop(grantee, None) is not None
         if existed:
@@ -132,6 +132,6 @@ class ShareStore(RecordStoreBase):
 
     def find_record(self, key: str) -> Optional[Record]:
         """O(1) lookup of one grant record by ``device:grantee``."""
-        device_id, _, grantee = key.partition(":")
+        device_id, _, grantee = key.rpartition(":")
         grant = self._by_device.get(device_id, {}).get(grantee)
         return self.to_record(grant) if grant is not None else None

@@ -1,9 +1,8 @@
-"""The unified cloud state layer: one protocol, pluggable backends.
+"""The unified cloud state layer: one record contract, pluggable backends.
 
 See ``docs/state.md``.  Public surface:
 
-* :class:`~repro.cloud.state.protocol.StateStore` /
-  :class:`~repro.cloud.state.protocol.RecordStoreBase` — the store
+* :class:`~repro.cloud.state.protocol.RecordStoreBase` — the record
   contract every cloud store implements;
 * :class:`~repro.cloud.state.backends.MemoryBackend` /
   :class:`~repro.cloud.state.backends.JournalBackend` — durability
@@ -32,7 +31,6 @@ from repro.cloud.state.journal import (
 from repro.cloud.state.protocol import (
     Record,
     RecordStoreBase,
-    StateStore,
     merge_state_counts,
 )
 from repro.cloud.state.snapshot import (
@@ -54,7 +52,6 @@ __all__ = [
     "RecordStoreBase",
     "SNAPSHOT_VERSION",
     "StateBackend",
-    "StateStore",
     "build_snapshot",
     "check_snapshot",
     "load_snapshot",

@@ -1,36 +1,39 @@
-"""The unified state-store protocol: one durability interface for seven stores.
+"""The record contract of the cloud's state stores, implemented once.
 
-The simulated cloud keeps its authoritative binding state in seven
-bespoke stores (accounts, tokens, device registry, bindings, shares,
-shadows, relay, events).  Before this layer existed, each had its own
-hand-enumerated serialization and the fleet clone fast path mutated
-store internals directly — exactly the class of cross-component state
-inconsistency the logic-bug literature warns about.
-:class:`StateStore` is the single contract they all implement instead:
+The simulated cloud keeps its authoritative binding state in nine
+stores (accounts, tokens, device registry, bindings, shares, shadows,
+relay, events, forensics).  :class:`RecordStoreBase` is the one
+implementation of the contract they share:
 
-* **typed records** — ``to_record``/``from_record`` codecs turn one
-  domain object into one JSON-able dict and back;
+* **typed records** — each store's ``to_record``/``from_record`` codec
+  turns one domain object into one JSON-able dict and back; every
+  decode goes through :meth:`RecordStoreBase._decode`, which turns a
+  codec failure into one :class:`~repro.core.errors.ConfigurationError`
+  naming the store and the missing field or the refused value;
 * **snapshotting** — ``snapshot_state``/``restore_state`` move a whole
   store through its record form (snapshot v2 sections,
   ``repro.cloud.state.snapshot``);
 * **journaling** — every durable mutation is offered to an optional
   write-ahead hook (``bind_journal``), which the backends in
   ``repro.cloud.state.backends`` persist and replay;
-* **cloning** — ``clone_record``/``clone_into`` copy records (optionally
-  transformed) between or within stores, which is how
-  ``FleetDeployment`` installs template household state without reaching
-  into store internals;
+* **cloning** — ``clone_record`` copies one record (optionally
+  transformed) through the codec, which is how ``FleetDeployment``
+  installs template household state without reaching into store
+  internals;
 * **accounting** — ``merge_counts`` reports size and churn for the
   observability gauges and the sharded campaign merge path.
 
-:class:`RecordStoreBase` supplies the generic halves (journal hooks,
-bulk restore, cloning, counts) so a concrete store only writes its
-codec, its key function and its upsert/discard primitives.
+A *flat* store (accounts, tokens, devices, bindings, relay schedules)
+keeps one dict ``_records`` from key to domain object and names the
+record field that holds the key (``key_field``); it writes only its
+codec.  The others override what their layout needs: nested grants
+(shares), replay with the registration mark (shadows) and sequence rows
+(events, forensics).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
 
@@ -45,97 +48,26 @@ JournalWrite = Callable[[Record], None]
 RecordTransform = Callable[[Record], Record]
 
 
-@runtime_checkable
-class StateStore(Protocol):
-    """Structural protocol every cloud state store satisfies.
-
-    Implementations also expose two plain class attributes:
-
-    * ``state_name`` — the store's section name in snapshots/journals
-      (``"accounts"``, ``"bindings"``, ...);
-    * ``durable`` — whether the store's records belong in snapshots and
-      journals (``False`` for derived/volatile stores like shadows,
-      which are rebuilt from the registry and binding table).
-    """
-
-    def to_record(self, obj: Any) -> Record:
-        """Encode one domain object as a JSON-able record."""
-        ...
-
-    def from_record(self, record: Record) -> Any:
-        """Decode one record back into a domain object (pure)."""
-        ...
-
-    def record_key(self, record: Record) -> str:
-        """The stable unique key of *record* within this store."""
-        ...
-
-    def record_count(self) -> int:
-        """How many records :meth:`snapshot_state` would emit."""
-        ...
-
-    def snapshot_state(self) -> List[Record]:
-        """Every record, sorted by :meth:`record_key` (deterministic)."""
-        ...
-
-    def restore_state(self, records: List[Record]) -> None:
-        """Bulk-load records into this (fresh) store."""
-        ...
-
-    def apply_record(self, record: Record) -> Any:
-        """Upsert one record (journal replay / clone install)."""
-        ...
-
-    def discard_record(self, key: str) -> bool:
-        """Remove the record stored under *key*; True if it existed."""
-        ...
-
-    def find_record(self, key: str) -> Optional[Record]:
-        """The current record under *key*, if any."""
-        ...
-
-    def clone_record(
-        self,
-        key: str,
-        transform: Optional[RecordTransform] = None,
-        into: Optional["StateStore"] = None,
-    ) -> Record:
-        """Copy one record (optionally transformed) into *into*/self."""
-        ...
-
-    def clone_into(
-        self, dst: "StateStore", transform: Optional[RecordTransform] = None
-    ) -> int:
-        """Copy every record into *dst*; returns how many were written."""
-        ...
-
-    def merge_counts(self) -> Dict[str, int]:
-        """Size/churn accounting (``records``, ``mutations``)."""
-        ...
-
-    def bind_journal(self, write: Optional[JournalWrite]) -> None:
-        """Install (or clear) the write-ahead journal hook."""
-        ...
-
-
 class RecordStoreBase:
-    """Shared :class:`StateStore` machinery for the concrete stores.
+    """The record contract every cloud state store implements.
 
-    Subclasses set :attr:`state_name` / :attr:`durable` and implement
-    the store-specific primitives (``to_record``, ``from_record``,
-    ``record_key``, ``record_count``, ``snapshot_state``,
-    ``apply_record``, ``discard_record``); everything generic — journal
-    emission, mutation counting, bulk restore, record cloning — lives
-    here.  Mutating methods call :meth:`_record_put` /
-    :meth:`_record_del` with the *current* serialized record so the
-    journal always carries full upserts (replay is then insensitive to
-    intermediate states).
+    Subclasses set :attr:`state_name` / :attr:`durable` and their codec
+    (``to_record``, ``from_record``).  A flat store also sets
+    :attr:`key_field` and fills ``self._records``; the record methods
+    below then serve it unchanged.  Mutating methods call
+    :meth:`_record_put` / :meth:`_record_del` with the *current*
+    serialized record so the journal always carries full upserts
+    (replay is then insensitive to intermediate states).
     """
 
     #: Snapshot/journal section name; overridden by every subclass.
     state_name: str = "store"
     #: Volatile stores (``durable=False``) count churn but never journal.
     durable: bool = True
+    #: The record field a flat store's ``_records`` is keyed by.
+    key_field: str
+    #: A flat store's contents: record key -> domain object.
+    _records: Dict[str, Any]
 
     _journal_write: Optional[JournalWrite] = None
     _mutations: int = 0
@@ -184,6 +116,59 @@ class RecordStoreBase:
         if self._authz_version is not None:
             self._authz_version.bump()
 
+    # -- the decode point ---------------------------------------------------
+
+    def _decode(self, record: Record) -> Any:
+        """``from_record``, with a codec failure as one typed error.
+
+        Snapshot loads, journal replay, warm restores and clones all
+        decode here, so a malformed record is refused the same way
+        wherever it comes from.
+        """
+        try:
+            return self.from_record(record)
+        except KeyError as exc:
+            problem = f"has no field {exc.args[0]!r}"
+        except (AttributeError, TypeError, ValueError) as exc:
+            problem = f"has a bad field value ({exc})"
+        raise ConfigurationError(
+            f"{self.state_name} record {record!r} {problem}"
+        ) from None
+
+    # -- record methods (flat stores) ---------------------------------------
+
+    def record_key(self, record: Record) -> str:
+        """The stable unique key of *record* within this store."""
+        return record[self.key_field]
+
+    def record_count(self) -> int:
+        """How many records :meth:`snapshot_state` would emit."""
+        return len(self._records)
+
+    def snapshot_state(self) -> List[Record]:
+        """Every record, sorted by :meth:`record_key` (deterministic)."""
+        records = self._records
+        return [self.to_record(records[key]) for key in sorted(records)]
+
+    def apply_record(self, record: Record) -> Any:
+        """Upsert one record (restore / journal replay / clone)."""
+        obj = self._decode(record)
+        self._records[record[self.key_field]] = obj
+        self._record_put(record)
+        return obj
+
+    def discard_record(self, key: str) -> bool:
+        """Remove the record stored under *key*; True if it existed."""
+        existed = self._records.pop(key, None) is not None
+        if existed:
+            self._record_del(key)
+        return existed
+
+    def find_record(self, key: str) -> Optional[Record]:
+        """The current record under *key*, if any."""
+        obj = self._records.get(key)
+        return None if obj is None else self.to_record(obj)
+
     # -- generic bulk operations -------------------------------------------
 
     def restore_state(self, records: List[Record]) -> None:
@@ -191,18 +176,11 @@ class RecordStoreBase:
         for record in records:
             self.apply_record(record)
 
-    def find_record(self, key: str) -> Optional[Record]:
-        """Linear-scan default; hot stores override with O(1) lookups."""
-        for record in self.snapshot_state():
-            if self.record_key(record) == key:
-                return record
-        return None
-
     def clone_record(
         self,
         key: str,
         transform: Optional[RecordTransform] = None,
-        into: Optional[StateStore] = None,
+        into: Optional["RecordStoreBase"] = None,
     ) -> Record:
         """Copy the record under *key* (transformed) into *into* or self.
 
@@ -222,24 +200,6 @@ class RecordStoreBase:
         target = into if into is not None else self
         target.apply_record(record)
         return record
-
-    def clone_into(
-        self, dst: StateStore, transform: Optional[RecordTransform] = None
-    ) -> int:
-        """Copy every record into *dst* (optionally transformed).
-
-        A ``transform`` returning ``None`` skips that record, so callers
-        can clone a filtered subset in one pass.
-        """
-        written = 0
-        for record in self.snapshot_state():
-            if transform is not None:
-                record = transform(record)  # type: ignore[assignment]
-                if record is None:
-                    continue
-            dst.apply_record(record)
-            written += 1
-        return written
 
     def merge_counts(self) -> Dict[str, int]:
         """Size and churn: mergeable by summation across shards."""

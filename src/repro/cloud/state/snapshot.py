@@ -1,8 +1,8 @@
 """Self-describing snapshot v2: every store contributes its own section.
 
-Each durable :class:`~repro.cloud.state.protocol.StateStore` serializes
-its own records under its ``state_name``, so adding a store column
-touches only that store::
+Each durable :class:`~repro.cloud.state.protocol.RecordStoreBase`
+store serializes its own records under its ``state_name``, so adding a
+store column touches only that store::
 
     {
       "version": 2,
@@ -15,7 +15,8 @@ touches only that store::
         "bindings": [ {...}, ... ],
         "shares":   [ {...}, ... ],
         "relay":    [ {...}, ... ],   # schedules only; queues are volatile
-        "events":   [ {...}, ... ]    # user inboxes + poll cursors
+        "events":   [ {...}, ... ],   # user inboxes + poll cursors
+        "forensics": [ {...}, ... ]   # per-shadow evidence rows
       }
     }
 
@@ -119,7 +120,7 @@ def load_snapshot(cloud: "CloudService", data: Dict[str, Any]) -> None:
             f"snapshot is for design {data.get('design')!r}, "
             f"not {cloud.design.name!r}"
         )
-    if cloud.accounts.record_count() or cloud.bindings.count():
+    if cloud.accounts.record_count() or cloud.bindings.record_count():
         raise ConfigurationError("restore requires a fresh cloud instance")
     sections = data["stores"]
     stores = cloud.state_stores()

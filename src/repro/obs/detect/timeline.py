@@ -227,7 +227,7 @@ class ForensicTimeline(RecordStoreBase):
             raise ConfigurationError(f"forensics record has bad seq {seq!r}")
         return _record_fields(record) + ("",)
 
-    # -- StateStore protocol --------------------------------------------------
+    # -- records: one row per seq ---------------------------------------------
 
     def to_record(self, obj: Any) -> Record:
         """Encode one :class:`ForensicEvent` as a flat record."""

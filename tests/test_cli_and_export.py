@@ -162,6 +162,28 @@ class TestCli:
         assert err.startswith("error: forensics record") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("store, mutate, named", [
+        ("tokens", lambda records: records[0].update(kind="bogus"), "'bogus'"),
+        ("bindings", lambda records: records[0].pop("user_id"), "'user_id'"),
+        ("events", lambda records: records.append({
+            "type": "event", "user_id": "u", "index": 3, "time": 0.0,
+            "kind": "binding-created", "device_id": "d", "detail": "",
+        }), "gap"),
+    ], ids=["token-kind", "binding-no-user", "event-gap"])
+    def test_malformed_store_record_is_an_error(
+        self, saved_snapshot, store, mutate, named, tmp_path, capsys
+    ):
+        data = json.loads(json.dumps(saved_snapshot))
+        mutate(data["stores"][store])
+        path = tmp_path / f"bad-{store}.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["snapshot", "load", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {store} record") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("document, named", [
         ([1, 2], "JSON object"),
         ({"version": 2, "design": "OZWI", "stores": {"bindings": 5}},

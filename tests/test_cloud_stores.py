@@ -58,6 +58,13 @@ class TestAccounts:
         with pytest.raises(ConfigurationError):
             accounts.register("bob", "")
 
+    def test_user_id_with_a_colon_rejected(self, tokens):
+        # share records are keyed ``device:grantee`` and split at the
+        # last colon, since MAC device IDs carry colons
+        accounts = AccountStore(tokens)
+        with pytest.raises(ConfigurationError, match="':'"):
+            accounts.register("eve:bob", "pw")
+
     def test_logout_invalidates_token(self, tokens):
         accounts = AccountStore(tokens)
         accounts.register("alice", "pw")
@@ -139,7 +146,7 @@ class TestBindings:
         assert store.is_bound("dev-1")
         assert store.bound_user("dev-1") == "alice"
         assert store.devices_of("alice") == ["dev-1"]
-        assert store.count() == 1
+        assert store.record_count() == 1
 
     def test_double_bind_requires_replace(self):
         store = BindingStore()

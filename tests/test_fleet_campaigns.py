@@ -111,6 +111,23 @@ class TestBindingDosCampaign:
         report = campaign_binding_dos(fleet, max_probes=16)
         assert report.victims_denied == 0
 
+    def test_rate_limited_answers_are_misses(self):
+        # Same oracle as repro.attacks.id_inference: once the lockout
+        # engages, a rate-limited reply says nothing about the candidate.
+        from repro.cloud.policy import DeviceAuthMode, VendorDesign
+
+        design = VendorDesign(
+            name="RateLimited", device_type="ip-camera",
+            device_auth=DeviceAuthMode.DEV_ID,
+            device_auth_known=DeviceAuthMode.DEV_ID,
+            firmware_available=True, bind_probe_rate_limit=5,
+            id_scheme="serial-number", id_serial_digits=7,
+        )
+        fleet = FleetDeployment(design, households=4, seed=1)
+        report = campaign_binding_dos(fleet, max_probes=50)
+        assert report.ids_probed == 50
+        assert report.ids_hit == 4
+
     def test_render(self):
         fleet = FleetDeployment(vendor("OZWI"), households=2, seed=2)
         report = campaign_binding_dos(fleet, max_probes=8)

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.cloud.events import UserEvent
 from repro.cloud.service import CloudService
 from repro.cloud.sharing import ShareStore
 from repro.cloud.state import (
@@ -18,7 +19,6 @@ from repro.cloud.state import (
     JournalCrash,
     MemoryBackend,
     RecordStoreBase,
-    StateStore,
     build_snapshot,
     check_snapshot,
     merge_state_counts,
@@ -28,6 +28,7 @@ from repro.cloud.state import (
 )
 from repro.core.errors import ConfigurationError
 from repro.fleet import FleetDeployment
+from repro.fuzz.corpus import all_designs
 from repro.net.network import Network
 from repro.scenario import Deployment
 from repro.sim.environment import Environment
@@ -52,15 +53,30 @@ def stores_json(data) -> str:
 
 
 class TestProtocolConformance:
-    def test_every_cloud_store_satisfies_the_protocol(self):
-        world = Deployment(vendor("OZWI"), seed=1)
-        stores = world.cloud.state_stores()
+    def test_every_store_keeps_the_record_contract(self):
+        world = build_world("D-LINK")
+        cloud = world.cloud
+        device_id = world.victim.device.device_id
+        cloud.shares.grant(device_id, world.victim.user_id, "guest", cloud.now)
+        cloud.events.emit(world.victim.user_id, UserEvent(1.0, "binding-created", device_id))
+        cloud.events.poll(world.victim.user_id)
+        env = Environment(seed=3)
+        fresh = CloudService(env, Network(env), world.design).state_stores()
+        stores = cloud.state_stores()
         assert set(stores) == {
             "accounts", "tokens", "devices", "bindings",
             "shares", "shadows", "relay", "events", "forensics",
         }
         for name, store in stores.items():
-            assert isinstance(store, StateStore), name
+            records = store.snapshot_state()
+            assert records, name
+            keys = [store.record_key(record) for record in records]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), name
+            assert len(records) == store.record_count(), name
+            for key, record in zip(keys, records):
+                assert store.find_record(key) == record, (name, key)
+            fresh[name].restore_state(records)
+            assert fresh[name].snapshot_state() == records, name
 
     def test_durable_flags(self):
         world = Deployment(vendor("OZWI"), seed=1)
@@ -77,7 +93,7 @@ class TestProtocolConformance:
 
 
 # ---------------------------------------------------------------------------
-# record primitives (clone_record / clone_into / find / discard)
+# record primitives (clone_record / find / discard / the decode point)
 # ---------------------------------------------------------------------------
 
 
@@ -118,64 +134,52 @@ class TestRecordPrimitives:
         with pytest.raises(ConfigurationError):
             store.clone_record("dev-9:ghost")
 
-    def test_clone_into_copies_everything(self):
-        src, dst = self.populated(), ShareStore()
-        assert src.clone_into(dst) == 3
-        assert dst.snapshot_state() == src.snapshot_state()
-
-    def test_clone_into_transform_none_skips(self):
-        src, dst = self.populated(), ShareStore()
-        written = src.clone_into(
-            dst, lambda r: r if r["device_id"] == "dev-1" else None
-        )
-        assert written == 2
-        assert dst.devices_shared_with("erin") == []
-
     def test_discard_record_removes_and_reports(self):
         store = self.populated()
         assert store.discard_record("dev-1:bob") is True
         assert store.discard_record("dev-1:bob") is False
         assert not store.is_granted("dev-1", "bob")
 
-    def test_default_find_record_is_a_linear_scan(self):
+    def test_a_flat_store_is_only_its_codec(self):
         class MinimalStore(RecordStoreBase):
             state_name = "minimal"
+            key_field = "k"
 
             def __init__(self):
-                self._rows = {}
+                self._records = {}
 
             def to_record(self, obj):
                 return dict(obj)
 
             def from_record(self, record):
-                return dict(record)
+                return {"k": record["k"], "v": int(record["v"])}
 
-            def record_key(self, record):
-                return record["k"]
-
-            def record_count(self):
-                return len(self._rows)
-
-            def snapshot_state(self):
-                return [self._rows[k] for k in sorted(self._rows)]
-
-            def apply_record(self, record):
-                self._rows[record["k"]] = dict(record)
-                self._record_put(record)
-                return record
-
-            def discard_record(self, key):
-                existed = self._rows.pop(key, None) is not None
-                if existed:
-                    self._record_del(key)
-                return existed
-
-        store = MinimalStore()
-        store.apply_record({"k": "a", "v": 1})
+        store, journal = MinimalStore(), MemoryBackend()
+        store.bind_journal(journal.append)
         store.apply_record({"k": "b", "v": 2})
+        store.apply_record({"k": "a", "v": 1})
+        assert store.snapshot_state() == [{"k": "a", "v": 1}, {"k": "b", "v": 2}]
         assert store.find_record("b") == {"k": "b", "v": 2}
         assert store.find_record("z") is None
-        assert store.merge_counts() == {"records": 2, "mutations": 2}
+        assert store.discard_record("a") is True
+        assert store.discard_record("a") is False
+        assert store.merge_counts() == {"records": 1, "mutations": 3}
+        assert [entry["op"] for entry in journal.entries()] == ["put", "put", "del"]
+        with pytest.raises(ConfigurationError, match="minimal record .* no field 'v'"):
+            store.apply_record({"k": "c"})
+        with pytest.raises(ConfigurationError, match="minimal record .* bad field value"):
+            store.apply_record({"k": "c", "v": "seven"})
+        assert store.record_count() == 1
+
+    def test_share_keys_split_at_the_last_colon(self):
+        mac = "00:17:88:00:00:01"
+        store = ShareStore()
+        store.grant(mac, "alice", "bob", 10.0)
+        key = store.record_key(store.snapshot_state()[0])
+        assert key == f"{mac}:bob"
+        assert store.find_record(key)["grantee"] == "bob"
+        assert store.revoke(mac, "bob") is True
+        assert store.record_count() == 0
 
     def test_merge_state_counts_sums_across_shards(self):
         merged = merge_state_counts([
@@ -401,6 +405,35 @@ class TestJournaledRestart:
         world.run_heartbeats(2)
         assert world.shadow_state() == "control"
         assert world.victim_can_control()
+
+    @pytest.mark.parametrize("design", all_designs(), ids=lambda d: d.name)
+    def test_recovery_replays_deletes(self, design):
+        world = Deployment(design, seed=81)
+        backend = MemoryBackend()
+        attach_checkpointed_journal(world, backend)
+        assert world.victim_full_setup()
+        app, device_id = world.victim.app, world.victim.device.device_id
+        app.set_schedule(device_id, {"on": "19:00"})
+        # a vendor without a revocation endpoint (KONKE) keeps the binding
+        assert app.remove_device(device_id) is design.unbind_supported
+        assert world.cloud.accounts.logout(app.user_token)
+        deleted = {
+            entry["store"] for entry in backend.entries() if entry["op"] == "del"
+        }
+        if design.unbind_supported:
+            assert deleted >= {"bindings", "relay", "tokens"}
+        else:
+            assert deleted >= {"tokens"}
+        expected = stores_json(build_snapshot(world.cloud))
+        world.cloud.shutdown()
+
+        recovery = recover_from_journal(
+            world.env, world.network, world.design, backend
+        )
+        assert recovery.entries_discarded == sum(
+            entry["op"] == "del" for entry in backend.entries()
+        )
+        assert stores_json(build_snapshot(recovery.cloud)) == expected
 
     def test_recovery_skips_a_truncated_tail(self):
         world = Deployment(vendor("D-LINK"), seed=81)

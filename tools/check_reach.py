@@ -41,12 +41,6 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 #: Modules (relative to ``src/repro``) that no command reaches, each with
 #: the north-star aim or the test that keeps it.
 ALLOWED: Dict[str, str] = {
-    "attacks/id_inference.py": (
-        "single-world ID probing (Section III-A) for "
-        "tests/test_attacks_id_inference.py, tests/test_rate_limiting.py and "
-        "examples/id_bruteforce.py; commands probe through "
-        "attacks/campaign.py, the fleet-scale form of the same oracle"
-    ),
     "fuzz/strategies.py": (
         "hypothesis strategies for sequence generation; correctness aim: "
         "tests/test_fuzz_engine.py and tests/test_properties*.py drive them"
