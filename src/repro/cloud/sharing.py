@@ -105,12 +105,14 @@ class ShareStore(RecordStoreBase):
         return sum(len(grants) for grants in self._by_device.values())
 
     def snapshot_state(self) -> List[Record]:
-        """Every grant record, sorted by (device id, grantee)."""
-        return [
-            self.to_record(self._by_device[device_id][grantee])
-            for device_id in sorted(self._by_device)
-            for grantee in sorted(self._by_device[device_id])
+        """Every grant record, sorted by its ``device:grantee`` key."""
+        records = [
+            self.to_record(grant)
+            for grants in self._by_device.values()
+            for grant in grants.values()
         ]
+        records.sort(key=self.record_key)
+        return records
 
     def apply_record(self, record: Record) -> ShareGrant:
         """Upsert one grant (restore / journal replay / clone)."""

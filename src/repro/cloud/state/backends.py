@@ -1,16 +1,22 @@
 """Pluggable state backends: in-memory entries and a JSON-lines journal.
 
 A backend is the durability medium behind the unified state layer.  It
-receives one JSON-able entry per durable store mutation (full-record
-upserts and key deletes, see
-:class:`~repro.cloud.state.protocol.RecordStoreBase`) and can replay
-them later.  Both implementations keep each entry *encoded* — one JSON
-string per append — and decode only on replay, so a long-lived journal
-costs its encoded bytes rather than a heap of live dicts the cyclic
-garbage collector has to walk:
+receives one entry per durable store mutation (full-record upserts and
+key deletes, see :class:`~repro.cloud.state.protocol.RecordStoreBase`)
+and can replay them later.  An entry holds exact JSON types only:
+``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``float``,
+``bool`` and ``None`` — no tuples, sets or bytes.  Both implementations
+keep each entry *encoded*, one immutable, GC-untracked object per
+append, and decode only on replay, so a long-lived journal costs its
+encoded bytes rather than a heap of live dicts the cyclic garbage
+collector has to walk, and no later mutation of a record reaches the
+journal:
 
-* :class:`MemoryBackend` — the default: encoded entries accumulate in a
-  process-memory list, gone on process exit.
+* :class:`MemoryBackend` — the default: one ``marshal`` blob per entry
+  in a process-memory list, gone on process exit.  The entries never
+  leave the process (a restart recovers from them inside the same
+  interpreter), so the encoding is internal; for exact-JSON entries its
+  replay equals a JSON round trip.
 * :class:`JournalBackend` — an append-only JSON-lines write-ahead log
   (one entry per line, ``sort_keys`` canonical form), optionally backed
   by a file.  It supports *fault injection* — a torn final write via
@@ -27,6 +33,7 @@ entry at a time and never holds the whole decoded history.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 from typing import Iterator, List, Optional
 
@@ -75,26 +82,33 @@ class StateBackend:
 
 
 class MemoryBackend(StateBackend):
-    """Entries kept as encoded JSON strings in a list — the default."""
+    """Entries kept as ``marshal`` bytes in a list — the default.
+
+    ``marshal`` round-trips every exact JSON type unchanged without the
+    JSON encoder's per-call cost.  Unlike JSON it would also keep a
+    tuple, a non-``str`` key, a set or bytes, so the record contract
+    (exact JSON types only) is what keeps this replay equal to the
+    on-disk :class:`JournalBackend`'s.
+    """
 
     def __init__(self) -> None:
-        self._lines: List[str] = []
+        self._blobs: List[bytes] = []
 
     def append(self, entry: Record) -> None:
-        """Encode *entry* once; no later mutation of it reaches the string."""
-        self._lines.append(json.dumps(entry))
+        """Encode *entry* once; no later mutation of it reaches the blob."""
+        self._blobs.append(marshal.dumps(entry))
 
     def replay(self) -> Iterator[Record]:
         """Decode the recorded entries lazily, oldest first."""
-        return map(json.loads, self._lines)
+        return map(marshal.loads, self._blobs)
 
     def entry_count(self) -> int:
         """Number of recorded entries (no decoding needed)."""
-        return len(self._lines)
+        return len(self._blobs)
 
     def clear(self) -> None:
         """Forget everything."""
-        self._lines = []
+        self._blobs = []
 
 
 class JournalBackend(StateBackend):

@@ -6,9 +6,9 @@ relay, events, forensics).  :class:`RecordStoreBase` is the one
 implementation of the contract they share:
 
 * **typed records** — each store's ``to_record``/``from_record`` codec
-  turns one domain object into one JSON-able dict and back; every
-  decode goes through :meth:`RecordStoreBase._decode`, which turns a
-  codec failure into one :class:`~repro.core.errors.ConfigurationError`
+  turns one domain object into one dict of exact JSON types and back;
+  every decode goes through :meth:`RecordStoreBase._decode`, which turns
+  a codec failure into one :class:`~repro.core.errors.ConfigurationError`
   naming the store and the missing field or the refused value;
 * **snapshotting** — ``snapshot_state``/``restore_state`` move a whole
   store through its record form (snapshot v2 sections,
@@ -37,8 +37,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
 
-#: One store record: a flat, JSON-able dict (the unit of snapshot,
-#: journal and clone traffic).
+#: One store record: a flat dict of exact JSON types — ``str`` keys, no
+#: tuples, sets or bytes (the unit of snapshot, journal and clone
+#: traffic; ``MemoryBackend`` would keep what JSON normalises).
 Record = Dict[str, Any]
 
 #: A journal write hook: receives one JSON-able journal entry.

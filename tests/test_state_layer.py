@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.chaos.campaign import ChaosSpec, apply_chaos
 from repro.cloud.events import UserEvent
 from repro.cloud.service import CloudService
 from repro.cloud.sharing import ShareStore
@@ -58,6 +59,10 @@ class TestProtocolConformance:
         cloud = world.cloud
         device_id = world.victim.device.device_id
         cloud.shares.grant(device_id, world.victim.user_id, "guest", cloud.now)
+        # mixed-width ids: key order ("dev-10:b" < "dev-1:z") is not
+        # (device id, grantee) order
+        cloud.shares.grant("dev-1", world.victim.user_id, "z", cloud.now)
+        cloud.shares.grant("dev-10", world.victim.user_id, "b", cloud.now)
         cloud.events.emit(world.victim.user_id, UserEvent(1.0, "binding-created", device_id))
         cloud.events.poll(world.victim.user_id)
         env = Environment(seed=3)
@@ -569,6 +574,76 @@ class TestJournaledRestart:
         env = Environment(seed=2)
         with pytest.raises(ConfigurationError):
             recover_from_journal(env, Network(env), vendor("OZWI"), backend)
+
+
+# ---------------------------------------------------------------------------
+# journal entries hold exact JSON types
+# ---------------------------------------------------------------------------
+
+
+class TeeBackend(MemoryBackend):
+    """A memory journal that feeds every entry to a JSON-lines WAL too.
+
+    ``expected`` holds each entry's JSON round trip, taken at append
+    time: what the on-disk journal replays.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.journal = JournalBackend()
+        self.expected = []
+
+    def append(self, entry):
+        super().append(entry)
+        self.journal.append(entry)
+        self.expected.append(json.loads(json.dumps(entry)))
+
+
+class TestJournalEntriesAreExactJson:
+    """``MemoryBackend`` keeps what JSON would normalise (tuples,
+    non-``str`` keys) or refuse (sets, bytes), so every store must
+    journal exact JSON types for the two backends to replay alike."""
+
+    @pytest.mark.parametrize("design", all_designs(), ids=lambda d: d.name)
+    def test_memory_replay_is_a_json_round_trip(self, design, monkeypatch):
+        monkeypatch.setattr("repro.chaos.campaign.MemoryBackend", TeeBackend)
+        fleet = FleetDeployment(design, households=2, seed=13)
+        controller = apply_chaos(fleet, ChaosSpec(plan="cloud-restart"))
+        backend = fleet.cloud.journal_backend
+        assert fleet.setup_all() == 2
+        owner, guest = fleet.households
+        device_id = owner.device.device_id
+        assert owner.app.share_device(device_id, guest.user_id)
+        owner.app.set_schedule(device_id, {"on": "19:00"})
+        # no studied design runs a notification feed: feed the store directly
+        fleet.cloud.events.emit(
+            owner.user_id, UserEvent(fleet.env.now, "binding-created", device_id)
+        )
+        fleet.cloud.events.poll(owner.user_id)
+        assert (
+            guest.app.remove_device(guest.device.device_id)
+            is design.unbind_supported
+        )
+        assert fleet.cloud.accounts.logout(guest.app.user_token)
+        fleet.run(120.0)  # the crash at t=60 recovers from this journal
+        assert len(controller.recoveries) == 1
+        assert fleet.cloud.journal_backend is backend
+
+        durable = {
+            name for name, store in fleet.cloud.state_stores().items()
+            if store.durable
+        }
+        assert {entry["store"] for entry in backend.expected} == durable | {"_meta"}
+        assert {entry["op"] for entry in backend.expected} == {"meta", "put", "del"}
+        assert backend.entries() == backend.expected
+        snapshots = []
+        for source in (backend, backend.journal):
+            env = Environment(seed=1)
+            recovered = recover_from_journal(env, Network(env), design, source)
+            snapshots.append(
+                json.dumps(build_snapshot(recovered.cloud), sort_keys=True)
+            )
+        assert snapshots[0] == snapshots[1]
 
 
 # ---------------------------------------------------------------------------
