@@ -8,7 +8,10 @@ Two formats, both self-contained:
   fleet benchmarks write to ``benchmarks/output/BENCH_obs.json``.
   Passing ``max_spans`` caps the exported span list (depth-first, so
   scenario/phase structure survives) with explicit drop accounting —
-  large campaign snapshots stay reviewable.
+  large campaign snapshots stay reviewable.  A snapshot is built in two
+  steps: :func:`capture` encodes a run once into one compact blob, and
+  :func:`render` turns a blob into the dict; a sharded campaign ships
+  the blob and renders only when its snapshot is read.
 * :func:`render_report` — the human-readable run report behind the
   ``python -m repro obs`` subcommand: span tree, metrics table,
   profile table.
@@ -23,11 +26,13 @@ profiles add per section.
 from __future__ import annotations
 
 import json
+import marshal
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
 from repro.obs.slo import RedAccounting, SLOTracker
+from repro.obs.tracer import decode_forest
 
 #: Schema version stamped into every JSON snapshot.
 SNAPSHOT_VERSION = 2
@@ -63,42 +68,76 @@ def _cap_forest(
     return [root for root in forest if root is not None], exported[0], dropped[0]
 
 
+def capture(obs: Observability) -> bytes:
+    """Capture one run's observations once, as one ``marshal`` blob.
+
+    The blob holds the tracer's stored forest
+    (:meth:`~repro.obs.tracer.Tracer.encode`: spans plus the exchange
+    leaves' audit-row and rule-trace pairs), the span and drop counts,
+    and the SLO, profile and RED sections.  Bytes are immutable and the
+    cyclic collector never tracks them, so a sharded campaign ships and
+    keeps each shard's observations as one object and renders them only
+    when read.  The metrics registry is not in the blob: :func:`render`
+    takes its snapshot separately, so a shard result carries one copy.
+    A span attribute that is not an exact JSON scalar raises
+    :class:`~repro.core.errors.ConfigurationError` here.
+    """
+    tracer = obs.tracer
+    return marshal.dumps((
+        tracer.encode(),
+        len(tracer),
+        tracer.dropped,
+        obs.slo.snapshot(),
+        obs.profiler.snapshot(),
+        {"requests": obs.red.snapshot(), "pdp": obs.pdp_red.snapshot()},
+    ))
+
+
+def render(
+    blob: bytes,
+    metrics: Dict[str, Any],
+    include_wall: bool = True,
+    max_spans: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Render a :func:`capture` blob into the JSON-ready snapshot dict.
+
+    *metrics* is the run's :meth:`MetricsRegistry.snapshot`, placed in
+    the document as is.  ``include_wall=False`` strips wall-clock
+    fields, leaving only deterministic content (two same-seed runs then
+    produce identical snapshots — the determinism test relies on this).
+    ``max_spans`` caps the exported span list; spans over the budget
+    are counted in ``export_spans_dropped`` instead of serialised.
+    """
+    forest, span_count, spans_dropped, slo, profile, red = marshal.loads(blob)
+    spans, exported, export_dropped = _cap_forest(
+        decode_forest(forest), max_spans, include_wall
+    )
+    data: Dict[str, Any] = {
+        "version": SNAPSHOT_VERSION,
+        "spans": spans,
+        "span_count": span_count,
+        "spans_exported": exported,
+        "spans_dropped": spans_dropped,
+        "export_spans_dropped": export_dropped,
+        "metrics": metrics,
+        # Deterministic: virtual-time bins over seeded-RNG fault events.
+        "slo": slo,
+    }
+    if include_wall:
+        data["profile"] = profile
+        # Wall-clock latency sketches are nondeterministic by nature, so
+        # they live strictly on the include_wall side of the split.
+        data["red"] = red
+    return data
+
+
 def snapshot(
     obs: Observability,
     include_wall: bool = True,
     max_spans: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Render one run into a JSON-ready dict.
-
-    ``include_wall=False`` strips wall-clock fields, leaving only
-    deterministic content (two same-seed runs then produce identical
-    snapshots — the determinism test relies on this).  ``max_spans``
-    caps the exported span list; spans over the budget are counted in
-    ``export_spans_dropped`` instead of serialised.
-    """
-    spans, exported, export_dropped = _cap_forest(
-        obs.tracer.roots, max_spans, include_wall
-    )
-    data: Dict[str, Any] = {
-        "version": SNAPSHOT_VERSION,
-        "spans": spans,
-        "span_count": len(obs.tracer),
-        "spans_exported": exported,
-        "spans_dropped": obs.tracer.dropped,
-        "export_spans_dropped": export_dropped,
-        "metrics": obs.metrics.snapshot(),
-        # Deterministic: virtual-time bins over seeded-RNG fault events.
-        "slo": obs.slo.snapshot(),
-    }
-    if include_wall:
-        data["profile"] = obs.profiler.snapshot()
-        # Wall-clock latency sketches are nondeterministic by nature, so
-        # they live strictly on the include_wall side of the split.
-        data["red"] = {
-            "requests": obs.red.snapshot(),
-            "pdp": obs.pdp_red.snapshot(),
-        }
-    return data
+    """Render one run into a JSON-ready dict: :func:`render` of :func:`capture`."""
+    return render(capture(obs), obs.metrics.snapshot(), include_wall, max_spans)
 
 
 def to_json(

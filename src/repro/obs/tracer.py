@@ -20,8 +20,13 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro.core.errors import ConfigurationError
+
 #: Span kinds, outermost to innermost.
 SPAN_KINDS = ("scenario", "phase", "exchange")
+
+#: The types a span attribute value may have: exact JSON scalars.
+_SCALARS = (str, int, float, bool, type(None))
 
 
 class Span:
@@ -165,6 +170,38 @@ def _spans(stored: Sequence[Any]) -> Iterator[Span]:
         yield ExchangeLeaf(item, next(items)) if item.__class__ is tuple else item
 
 
+def _encode(stored: Sequence[Any]) -> List[Any]:
+    """A stored child list as plain data (see :meth:`Tracer.encode`)."""
+    return [_encode_span(item) if isinstance(item, Span) else item for item in stored]
+
+
+def _encode_span(span: Span) -> List[Any]:
+    for key, value in span.attrs.items():
+        if value.__class__ not in _SCALARS:
+            raise ConfigurationError(
+                f"span {span.name!r}: attribute {key!r} is a "
+                f"{type(value).__name__}, not a JSON scalar"
+            )
+    return [
+        span.name, span.kind, span.start, span.end, span.outcome, span.attrs,
+        _encode(span._children), span.wall_ns,
+    ]
+
+
+def decode_forest(encoded: Sequence[Any]) -> List[Span]:
+    """The root spans of a :meth:`Tracer.encode` forest (leaves as views)."""
+    return list(_spans(_decode(encoded)))
+
+
+def _decode(encoded: Sequence[Any]) -> List[Any]:
+    """An encoded child list back in stored form, spans rebuilt."""
+    return [
+        Span(*item[:6], _decode(item[6]), item[7]) if item.__class__ is list
+        else item
+        for item in encoded
+    ]
+
+
 class _SpanContext:
     """Context manager produced by :meth:`Tracer.span`."""
 
@@ -279,6 +316,19 @@ class Tracer:
         """Yield every recorded span, depth first across all roots."""
         for root in self.roots:
             yield from root.walk()
+
+    def encode(self) -> List[Any]:
+        """The stored forest as plain data that ``marshal`` can carry.
+
+        Each span becomes the list of its :class:`Span` constructor
+        arguments, its children encoded the same way; exchange leaves
+        stay the (audit row, rule trace) pairs they are stored as.
+        :func:`decode_forest` reads it back.  A span attribute that is
+        not an exact JSON scalar (``str``, ``int``, ``float``, ``bool``
+        or ``None``) raises :class:`~repro.core.errors.ConfigurationError`
+        naming the span and the key.
+        """
+        return _encode(self._roots)
 
     def signature(self) -> tuple:
         """Deterministic shape of the whole forest (excludes wall clock)."""

@@ -11,10 +11,14 @@ the results are merged deterministically:
   :func:`~repro.parallel.shards.derive_shard_seed`, so re-runs are
   reproducible and a one-worker run bit-matches the serial path;
 * per-shard :class:`~repro.attacks.campaign.CampaignReport`\\ s merge via
-  :meth:`CampaignReport.merge`, metric snapshots fold into one
-  :class:`~repro.obs.metrics.MetricsRegistry`, and observability
-  snapshots merge with shard provenance via
-  :func:`~repro.obs.export.merge_snapshots`;
+  :meth:`CampaignReport.merge` and metric snapshots fold into one
+  :class:`~repro.obs.metrics.MetricsRegistry` as the shards come back;
+* each shard ships its observations as one
+  :func:`~repro.obs.export.capture` blob (spans, SLO, profile, RED),
+  and the merged snapshot — shard provenance via
+  :func:`~repro.obs.export.merge_snapshots` — is rendered from the
+  blobs on the first read of :attr:`ShardedCampaignResult.snapshot`,
+  so a campaign nobody inspects never builds its span dicts;
 * merge order is shard order, never completion order, so worker
   scheduling cannot leak into the results.
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional
 
 from repro.attacks.campaign import (
@@ -51,7 +56,7 @@ from repro.core.errors import ConfigurationError
 from repro.fleet import FleetDeployment
 from repro.obs.detect.pipeline import DetectionPipeline
 from repro.obs.detect.score import merge_detection, score_detection
-from repro.obs.export import merge_snapshots, snapshot
+from repro.obs.export import capture, merge_snapshots, render
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
 from repro.parallel.pool import WorkerPool
@@ -94,7 +99,9 @@ class ShardResult:
     seed: int
     report: CampaignReport
     metrics: Dict[str, Any]
-    obs_snapshot: Dict[str, Any]
+    #: the shard's observations as one :func:`~repro.obs.export.capture`
+    #: blob: immutable, GC-untracked, rendered only when read
+    observations: bytes
     audit_entries: int
     matches_audit: bool
     wall_seconds: float
@@ -119,6 +126,19 @@ class ShardResult:
     #: line only and never enter merged results, so pooled/warm runs
     #: stay bit-identical to serial.
     runtime: Dict[str, Any] = field(default_factory=dict)
+    #: the span cap :attr:`obs_snapshot` applies (the spec's
+    #: ``snapshot_max_spans``)
+    snapshot_max_spans: Optional[int] = None
+
+    @property
+    def obs_snapshot(self) -> Dict[str, Any]:
+        """The shard's observability snapshot, rendered on each read.
+
+        Its ``metrics`` section is :attr:`metrics` itself, not a copy.
+        """
+        return render(
+            self.observations, self.metrics, max_spans=self.snapshot_max_spans
+        )
 
 
 def run_shard(
@@ -127,8 +147,8 @@ def run_shard(
     """Run one shard in a fresh world; the worker-process entry point.
 
     Builds the shard's fleet from its derived seed, runs the campaign
-    against it, and returns the report plus the shard's metric and
-    observability snapshots and its audit-consistency verdict.
+    against it, and returns the report plus the shard's metric snapshot,
+    its captured observations and its audit-consistency verdict.
 
     With an *image_cache*, deployed-campaign shards warm-start: the
     first run of a world captures a :class:`~repro.fleet.WorldImage`
@@ -203,7 +223,7 @@ def run_shard(
         seed=spec.seed,
         report=report,
         metrics=obs.metrics.snapshot(),
-        obs_snapshot=snapshot(obs, max_spans=spec.snapshot_max_spans),
+        observations=capture(obs),
         audit_entries=len(fleet.cloud.audit),
         matches_audit=obs.matches_audit(fleet.cloud.audit),
         wall_seconds=time.perf_counter() - started,
@@ -213,6 +233,7 @@ def run_shard(
         world_source="cold" if image is None else "warm",
         world_seconds=world_seconds,
         runtime={"authz_cache": fleet.cloud.authz_cache.stats()},
+        snapshot_max_spans=spec.snapshot_max_spans,
     )
 
 
@@ -228,12 +249,26 @@ class ShardedCampaignResult:
     report: CampaignReport
     shard_results: List[ShardResult]
     metrics: MetricsRegistry
-    snapshot: Dict[str, Any]
     wall_seconds: float
     details: List[str] = field(default_factory=list)
     #: :meth:`WorkerPool.stats` when the campaign ran through a worker
     #: pool; ``None`` on inline runs
     pool_stats: Optional[Dict[str, Any]] = None
+
+    @cached_property
+    def snapshot(self) -> Dict[str, Any]:
+        """The merged observability snapshot, built on first read.
+
+        :func:`~repro.obs.export.merge_snapshots` over the shards'
+        :attr:`~ShardResult.obs_snapshot`\\ s in shard order, with each
+        shard's seed as provenance and the campaign's span cap (every
+        shard carries the same one).
+        """
+        return merge_snapshots(
+            [result.obs_snapshot for result in self.shard_results],
+            shard_meta=[{"seed": result.seed} for result in self.shard_results],
+            max_spans=self.shard_results[0].snapshot_max_spans,
+        )
 
     @property
     def audit_entries_total(self) -> int:
@@ -519,8 +554,8 @@ def run_campaign(
     seed.  With more workers, *shards* (default: one per worker) shards
     are mapped over worker processes and merged in shard order:
     reports via :meth:`CampaignReport.merge`, metrics into one
-    registry, observability snapshots via
-    :func:`~repro.obs.export.merge_snapshots` with shard provenance.
+    registry; the observability snapshot is merged on first read
+    (:attr:`ShardedCampaignResult.snapshot`).
 
     Shards run one of three ways, all producing bit-identical campaign
     results for the same specs:
@@ -560,11 +595,6 @@ def run_campaign(
     registry = MetricsRegistry()
     for result in results:
         registry.merge_snapshot(result.metrics)
-    merged_snapshot = merge_snapshots(
-        [result.obs_snapshot for result in results],
-        shard_meta=[{"seed": result.seed} for result in results],
-        max_spans=snapshot_max_spans,
-    )
     return ShardedCampaignResult(
         campaign=campaign,
         vendor=design.name,
@@ -574,7 +604,6 @@ def run_campaign(
         report=merged_report,
         shard_results=results,
         metrics=registry,
-        snapshot=merged_snapshot,
         wall_seconds=wall,
         pool_stats=pool_stats,
     )

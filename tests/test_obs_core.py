@@ -1,10 +1,12 @@
 """Unit tests for the observability primitives (repro.obs)."""
 
+import enum
 import json
 
 import pytest
 
 from repro.cloud.audit import AuditLog
+from repro.core.errors import ConfigurationError
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observer import NULL_CONTEXT, NULL_OBSERVER, Observer, iter_hooks
 from repro.obs.profiler import Profiler
@@ -219,6 +221,29 @@ class TestExport:
         assert data["spans"] == []
         assert data["export_spans_dropped"] == 3
         assert data["metrics"]["counters"]["kept"][0]["value"] == 5
+
+    class Mode(str, enum.Enum):
+        CALM = "calm"
+
+    @pytest.mark.parametrize(
+        "value", [Mode.CALM, enum.Enum("Plain", "A").A, b"raw", ("a", 1)],
+        ids=["str-enum", "enum", "bytes", "tuple"],
+    )
+    def test_non_scalar_span_attribute_is_a_typed_error(self, value):
+        obs = self.build_forest(events=1)
+        with obs.span("scenario-2", kind="scenario"):
+            with obs.span("phase", mode=value):
+                obs.event("msg")
+        with pytest.raises(ConfigurationError, match="'phase'.*'mode'"):
+            snapshot(obs)
+
+    def test_exact_json_scalars_are_carried(self):
+        obs = Observability()
+        with obs.span("s", kind="scenario", a="x", b=1, c=2.5, d=True, e=None):
+            pass
+        attrs = snapshot(obs)["spans"][0]["attrs"]
+        assert attrs == {"a": "x", "b": 1, "c": 2.5, "d": True, "e": None}
+        assert [type(attrs[k]) for k in "abcde"] == [str, int, float, bool, type(None)]
 
 
 class TestMetricsMerge:

@@ -1,5 +1,8 @@
 """Tests for the sharded parallel campaign engine (repro.parallel)."""
 
+import gc
+import types
+
 import pytest
 
 from repro.attacks.campaign import (
@@ -203,6 +206,50 @@ class TestConsistencyInvariant:
         text = result.render()
         assert "shard 0" in text and "shard 1" in text
         assert "consistent" in text
+
+
+def tracked_reachable(root):
+    """How many GC-tracked objects are reachable from *root* (classes aside)."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            count += 1
+            stack.extend(gc.get_referents(obj))
+    return count
+
+
+class TestShardFootprint:
+    def pooled(self, probes):
+        return run_campaign(
+            vendor("OZWI"), campaign="binding-dos",
+            households=4, max_probes=probes, workers=2, seed=3, detect=True,
+        )
+
+    def test_pooled_shard_keeps_its_forest_as_one_untracked_object(self):
+        small, large = self.pooled(16), self.pooled(160)
+        assert large.audit_entries_total > 4 * small.audit_entries_total
+        for shard in small.shard_results + large.shard_results:
+            assert isinstance(shard.observations, bytes)
+            assert not gc.is_tracked(shard.observations)
+        assert [tracked_reachable(r) for r in large.shard_results] == [
+            tracked_reachable(r) for r in small.shard_results
+        ]
+
+    def test_snapshot_reads_are_stable_and_leave_the_report_alone(self):
+        result = self.pooled(16)
+        before = result.to_dict()
+        first = result.snapshot
+        assert result.snapshot == first
+        assert result.to_dict() == before
+        shard = result.shard_results[0]
+        assert shard.obs_snapshot == shard.obs_snapshot
+        assert first["span_count"] == sum(
+            r.obs_snapshot["span_count"] for r in result.shard_results
+        )
 
 
 class TestEngineValidation:
