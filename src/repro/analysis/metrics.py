@@ -4,8 +4,9 @@ The paper argues vendors chose weak designs partly for convenience
 (Section IV's assessments).  This module quantifies the convenience
 axis: it runs the full Figure 1 setup flow for a design with a packet
 tap attached and counts the messages each party had to send.  The
-``bench_overhead`` benchmark tabulates weak vs. recommended designs —
-the security upgrade costs only a handful of extra local messages.
+"Setup-cost overhead" section of ``repro report`` tabulates weak vs.
+recommended designs: the security upgrade costs only a handful of
+extra local messages.
 """
 
 from __future__ import annotations

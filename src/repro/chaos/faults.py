@@ -16,7 +16,8 @@ the cloud's node is special-cased), with ``"*"`` matching anything.
 Every plan scales with one *intensity* knob — probabilities are
 multiplied and clamped to [0, 1], latencies stretch linearly, and
 partition/brownout windows grow from their start — so one preset yields
-a whole fault-intensity curve (``benchmarks/bench_chaos.py``).
+a whole fault-intensity curve (``repro chaos run <plan> --intensity N``
+prints one point of it).
 """
 
 from __future__ import annotations

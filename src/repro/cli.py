@@ -208,6 +208,7 @@ def _cmd_slo(args: argparse.Namespace) -> str:
     from repro.obs.slo import SLOSpec, evaluate_slo
     from repro.vendors import vendor
 
+    spec = SLOSpec(objective=args.objective, latency_us=args.latency_us)
     design = vendor(args.vendor)
     obs = Observability(trace_messages=False)
     fleet = FleetDeployment(
@@ -232,7 +233,6 @@ def _cmd_slo(args: argparse.Namespace) -> str:
         plan = plan_from_name(args.chaos, args.intensity)
     fleet.setup_all()
     fleet.run(args.seconds)
-    spec = SLOSpec(objective=args.objective, latency_us=args.latency_us)
     report = evaluate_slo(
         obs.slo, spec,
         sketch=obs.red.combined_sketch(design.name),
@@ -838,8 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--intensity", type=float, default=1.0)
     chaos.add_argument("--no-resilience", action="store_true")
     chaos.add_argument("--format", choices=["text", "json"], default="text",
-                       help="run action: emit the same dict the "
-                            "benchmarks consume")
+                       help="run action: emit the run summary as JSON")
     chaos.set_defaults(run=_cmd_chaos)
 
     detect = sub.add_parser(
@@ -935,6 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: The least value each numeric option accepts, by argparse ``dest``.
 _ARGUMENT_FLOORS = {
     "probes": 0,
+    "max_spans": 0,
     "seconds": 0,
     "run_seconds": 0,
     "intensity": 0,
@@ -968,7 +968,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _check_arguments(args)
         print(args.run(args))
-    except (KeyError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -103,7 +103,7 @@ def check_paper_properties() -> Dict[str, bool]:
     """Verify the structural properties the paper states about Figure 2.
 
     Returns a mapping property-name -> bool; the test suite asserts all
-    of them, and ``bench_fig2_state_machine`` prints them.
+    of them, and ``repro fig2`` prints them.
     """
     control_paths = shortest_paths(ShadowState.INITIAL, ShadowState.CONTROL)
     via_bound = (ShadowEvent.BIND_CREATED, ShadowEvent.STATUS_RECEIVED)

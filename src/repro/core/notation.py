@@ -3,7 +3,7 @@
 The paper compresses every remote-binding design into a small vocabulary
 of message types and identifier kinds (its Table I).  This module is the
 single source of truth for that vocabulary; the analysis layer renders
-the table from here (``benchmarks/bench_table1_notation.py``).
+the table from here (``repro table1``).
 """
 
 from __future__ import annotations

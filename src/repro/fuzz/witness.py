@@ -61,7 +61,8 @@ class Witness:
 
     @classmethod
     def from_data(cls, data: Dict[str, Any]) -> "Witness":
-        """Inverse of :meth:`to_data`; rejects unknown schema versions."""
+        """Inverse of :meth:`to_data`; rejects unknown schema versions
+        and missing or malformed fields with :class:`ConfigurationError`."""
         from repro.core.errors import ConfigurationError
 
         schema = data.get("schema")
@@ -70,17 +71,26 @@ class Witness:
                 f"witness {data.get('name', '?')!r}: schema {schema!r} "
                 f"(this build reads schema {SCHEMA_VERSION})"
             )
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            designs=list(data["designs"]),
-            seed=int(data["seed"]),
-            sequence=list(data["sequence"]),
-            finding=dict(data["finding"]),
-            finding_keys=[list(k) for k in data.get("finding_keys", [])],
-            trace=[dict(o) for o in data.get("trace", [])],
-            found_by=data.get("found_by", ""),
-        )
+        try:
+            return cls(
+                name=data["name"],
+                kind=data["kind"],
+                designs=list(data["designs"]),
+                seed=int(data["seed"]),
+                sequence=list(data["sequence"]),
+                finding=dict(data["finding"]),
+                finding_keys=[list(k) for k in data.get("finding_keys", [])],
+                trace=[dict(o) for o in data.get("trace", [])],
+                found_by=data.get("found_by", ""),
+            )
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"witness {data.get('name', '?')!r}: missing field {exc}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"witness {data.get('name', '?')!r}: malformed field: {exc}"
+            ) from None
 
 
 def _design_rng(seed: int, design_name: str) -> Random:

@@ -8,7 +8,7 @@ Quantifies the paper's claims about weak device IDs:
   traverse all possible IDs within an hour" (Section I) — 10^6..10^7
   candidates at realistic cloud request rates.
 
-``benchmarks/bench_id_search_space.py`` prints the resulting table.
+``repro entropy`` prints the resulting table.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Two formats, both self-contained:
 
 * :func:`snapshot` / :func:`to_json` — a plain dict/JSON document with
   the span forest, the metric catalog and the wall-clock profile
-  (schema documented in ``docs/observability.md``).  This is what the
-  fleet benchmarks write to ``benchmarks/output/BENCH_obs.json``.
+  (schema documented in ``docs/observability.md``).  This is what
+  ``repro obs --format json`` prints.
   Passing ``max_spans`` caps the exported span list (depth-first, so
   scenario/phase structure survives) with explicit drop accounting —
   large campaign snapshots stay reviewable.  A snapshot is built in two

@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.errors import ConfigurationError
+
 #: Default sketch relative-error bound: quantile estimates are within
 #: 0.5% of the true sample value (tests assert <1% with headroom).
 DEFAULT_ALPHA = 0.005
@@ -594,6 +596,17 @@ class SLOSpec:
     objective: float = 0.999
     latency_us: float = 1000.0
     windows: Tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.objective <= 1.0:
+            raise ConfigurationError(
+                f"SLO objective must be in (0, 1], not {self.objective:g}"
+            )
+        if not (math.isfinite(self.latency_us) and self.latency_us > 0.0):
+            raise ConfigurationError(
+                f"SLO latency threshold must be a positive number of "
+                f"microseconds, not {self.latency_us:g}"
+            )
 
     @property
     def error_budget(self) -> float:

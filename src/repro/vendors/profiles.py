@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cloud.policy import BindSender, DeviceAuthMode, VendorDesign
+from repro.core.errors import ConfigurationError
 
 BELKIN = VendorDesign(
     name="Belkin",
@@ -158,10 +159,14 @@ VENDORS_BY_NAME: Dict[str, VendorDesign] = {v.name: v for v in STUDIED_VENDORS}
 
 
 def vendor(name: str) -> VendorDesign:
-    """Look up one of the ten studied designs by Table III name."""
+    """Look up one of the ten studied designs by Table III name.
+
+    Raises :class:`~repro.core.errors.ConfigurationError` for unknown
+    names, listing the studied vendors so CLI typos are self-explaining.
+    """
     try:
         return VENDORS_BY_NAME[name]
     except KeyError:
-        raise KeyError(
+        raise ConfigurationError(
             f"unknown vendor {name!r}; choose from {sorted(VENDORS_BY_NAME)}"
         ) from None

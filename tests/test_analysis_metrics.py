@@ -1,8 +1,8 @@
 """Tests for the protocol-cost metrics."""
 
 from repro.analysis.metrics import compare_designs, measure_setup_cost, render_costs
-from repro.secure import SECURE_CAPABILITY, SECURE_DEVTOKEN
-from repro.vendors import vendor
+from repro.secure import SECURE_BASELINES, SECURE_CAPABILITY, SECURE_DEVTOKEN
+from repro.vendors import STUDIED_VENDORS, vendor
 
 
 class TestSetupCost:
@@ -40,3 +40,13 @@ class TestSetupCost:
         text = render_costs(costs)
         assert "Belkin" in text and "Secure-DevToken" in text
         assert "setup" in text
+
+    def test_secure_baselines_cost_little_over_the_cheapest_weak_design(self):
+        costs = compare_designs(
+            list(STUDIED_VENDORS) + list(SECURE_BASELINES), seed=4
+        )
+        assert all(cost.setup_succeeded for cost in costs)
+        by_name = {cost.design: cost.total for cost in costs}
+        cheapest_weak = min(by_name[design.name] for design in STUDIED_VENDORS)
+        for baseline in SECURE_BASELINES:
+            assert by_name[baseline.name] <= cheapest_weak + 8, baseline.name

@@ -5,6 +5,7 @@ import itertools
 from repro.attacks.attacker import RemoteAttacker
 from repro.attacks.id_inference import enumerate_ids, probe_device_id, targeted_search
 from repro.identity.device_ids import SerialDeviceId
+from repro.identity.entropy import SECONDS_PER_HOUR
 from repro.scenario import Deployment
 from repro.vendors import vendor
 
@@ -45,6 +46,7 @@ class TestEnumeration:
         assert deployment.attacker_party.device.device_id in stats.found
         assert stats.attempted == 10
         assert stats.hit_rate == 0.2
+        assert stats.virtual_seconds < SECONDS_PER_HOUR
 
     def test_stop_after_limits_probing(self):
         deployment, attacker = make_attacker()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import types
 
 import pytest
@@ -289,6 +290,36 @@ class TestChaosCampaigns:
         fleet.run(60.0)  # the brownout lifts at t=75
         after = binding_liveness(fleet)
         assert after["online_fraction"] == 1.0
+
+    def test_zero_intensity_campaign_is_the_calm_point(self):
+        from repro.parallel import run_campaign
+
+        # Type-1 unbind without the bound-user check: mass-unbind lands.
+        design = make_design(
+            device_auth=DeviceAuthMode.DEV_TOKEN, unbind_checks_bound_user=False,
+        )
+        result = run_campaign(
+            design, campaign="mass-unbind", households=4, max_probes=12,
+            workers=1, seed=17, trace_messages=False,
+            chaos=ChaosSpec(plan="flaky-wan", intensity=0.0),
+        )
+        injector = result.shard_results[0].chaos["injector"]
+        assert injector["dropped"] == injector["delayed"] == 0
+        assert result.report.denial_rate == 1.0
+
+    def test_resilience_keeps_the_fleet_live_under_flaky_wan(self, capsys):
+        from repro.cli import main
+
+        online = {}
+        for clients, flags in (("resilient", []), ("bare", ["--no-resilience"])):
+            assert main(["chaos", "run", "flaky-wan", "--intensity", "8",
+                         "--households", "8", "--seconds", "120",
+                         "--format", "json"] + flags) == 0
+            liveness = json.loads(capsys.readouterr().out)["liveness"]
+            online[clients] = liveness["online_fraction"]
+        # ~40% loss on the cloud path: retries keep every device online,
+        # bare clients lose most of the fleet
+        assert online == {"resilient": 1.0, "bare": 0.375}
 
     def test_cloud_restart_recovers_bindings_via_journal(self):
         fleet = FleetDeployment(make_design(), households=2, seed=3)

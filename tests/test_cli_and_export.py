@@ -119,9 +119,35 @@ class TestCli:
         pool = json.loads(out)["report"]["pool"]
         assert code == 0 and (pool["cold_builds"], pool["warm_starts"]) == (2, 2)
 
-    def test_unknown_vendor_is_an_error(self, capsys):
-        code = main(["audit", "Nonexistent"])
-        assert code == 2
+    def test_unknown_vendor_is_an_error(self, tmp_path, capsys):
+        for argv in (
+            ["attack", "NoSuch", "A1"],
+            ["audit", "NoSuch"],
+            ["fix", "NoSuch"],
+            ["witness", "NoSuch"],
+            ["fig1", "--vendor", "NoSuch"],
+            ["obs", "--vendor", "NoSuch"],
+            ["slo", "--vendor", "NoSuch"],
+            ["campaign", "--vendor", "NoSuch"],
+            ["chaos", "run", "lossy-lan", "--vendor", "NoSuch"],
+            ["detect", "--vendor", "NoSuch"],
+            ["snapshot", "save", str(tmp_path / "cloud.json"),
+             "--vendor", "NoSuch"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv
+            # one plain line: the message, not the repr of a KeyError
+            assert captured.err.startswith("error: unknown vendor 'NoSuch'; "), argv
+            assert captured.err.count("\n") == 1, argv
+
+    def test_a_bug_is_not_reported_as_a_user_error(self, monkeypatch):
+        def broken():
+            raise KeyError("a bug, not a typo")
+
+        monkeypatch.setattr("repro.analysis.surface.render_table_ii", broken)
+        with pytest.raises(KeyError):
+            main(["table2"])
 
     @pytest.mark.parametrize("action", ["load", "inspect"])
     def test_non_json_snapshot_is_an_error(self, action, tmp_path, capsys):
@@ -210,9 +236,17 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, named", [
         (["campaign", "--probes", "-3"], "--probes"),
+        (["campaign", "--max-spans", "-1"], "--max-spans"),
         (["obs", "--probes", "-3"], "--probes"),
         (["detect", "--probes", "-3"], "--probes"),
         (["slo", "--seconds", "-1"], "--seconds"),
+        (["slo", "--objective", "1.5"], "objective"),
+        (["slo", "--objective", "0"], "objective"),
+        (["slo", "--objective", "-2"], "objective"),
+        (["slo", "--objective", "nan"], "objective"),
+        (["slo", "--latency-us", "-1"], "latency threshold"),
+        (["slo", "--latency-us", "0"], "latency threshold"),
+        (["slo", "--latency-us", "nan"], "latency threshold"),
         (["chaos", "run", "lossy-lan", "--seconds", "-1"], "--seconds"),
         (["snapshot", "save", "unused.json", "--run-seconds", "-4"],
          "--run-seconds"),

@@ -428,15 +428,27 @@ class TestCampaignDetection:
         assert run(1) == run(2)
 
     def test_harness_covers_the_table2_taxonomy(self):
-        runs = run_detection(
-            vendor("OZWI"), households=4, max_probes=8, seed=3,
-            run_seconds=6.0,
-        )
-        matrix = detection_matrix(runs)
-        assert set(matrix) == {"A1", "A2", "A3", "A4"}
-        for attack_id, row in matrix.items():
+        matrices = {
+            name: detection_matrix(run_detection(
+                vendor(name), households=4, max_probes=8, seed=3,
+                run_seconds=6.0,
+            ))
+            for name in ("OZWI", "E-Link Smart", "Orvibo")
+        }
+        for name, matrix in matrices.items():
+            assert set(matrix) == {"A1", "A2", "A3", "A4"}, name
+        ozwi = matrices["OZWI"]
+        for attack_id, row in ozwi.items():
             assert row["recall"] >= 0.5, attack_id
             assert row["precision"] >= 0.5, attack_id
+        # The forged-traffic sweeps blame no benign event.
+        for attack_id in ("A1", "A3", "A4"):
+            assert ozwi[attack_id]["precision"] == 1.0, attack_id
+        # A2's residue: after the attacker squats every binding, the
+        # victims' own setup Binds displace the squatted records and
+        # look like hijacks, so precision sits below 1.0.
+        assert ozwi["A2"]["recall"] == 1.0
+        assert ozwi["A2"]["precision"] < 1.0
 
 
 class TestStealthCloudAlerts:
@@ -487,6 +499,19 @@ class TestDetectCli:
         matrix = json.loads(out)
         assert set(matrix) == {"A1"}
         assert matrix["A1"]["campaign"] == "shadow-probe"
+
+    def test_no_false_positives_along_the_flaky_wan_curve(self, capsys):
+        for intensity in ("0", "2", "8"):
+            code, out = self.run(
+                ["detect", "--attack", "A3", "--chaos", "flaky-wan",
+                 "--intensity", intensity, "--households", "4",
+                 "--probes", "8", "--format", "json"],
+                capsys,
+            )
+            assert code == 0
+            score = json.loads(out)["A3"]
+            assert score["false_positive_rate"] == 0.0, intensity
+            assert score["precision"] == 1.0, intensity
 
     def test_chaos_json_format(self, capsys):
         code, out = self.run(

@@ -24,6 +24,7 @@ class TestFleetDeployment:
         bound = fleet.bound_users()
         for household in fleet.households:
             assert bound[household.device.device_id] == household.user_id
+            assert fleet.cloud.shadow_state(household.device.device_id) == "control"
 
     def test_sequential_ids_are_adjacent_fleet_wide(self):
         fleet = FleetDeployment(vendor("OZWI"), households=3, seed=1)

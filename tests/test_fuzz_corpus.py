@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.fuzz import (
     DEFAULT_CORPUS,
@@ -100,6 +101,24 @@ def test_unknown_schema_is_rejected(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ConfigurationError):
         load_witness(path)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("kind", None, "missing field 'kind'"),
+    ("seed", "x", "malformed field"),
+    ("designs", 7, "malformed field"),
+], ids=["missing-kind", "bad-seed", "bad-designs"])
+def test_malformed_witness_is_one_error_line(field, value, named, tmp_path, capsys):
+    data = CORPUS[0].to_data()
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    (tmp_path / "bad.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["fuzz", "replay", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: witness ") and named in err
+    assert err.count("\n") == 1
 
 
 def test_empty_corpus_is_an_error(tmp_path):

@@ -1,41 +1,84 @@
 """Golden-file regression tests: the rendered artifacts are pinned.
 
 The simulation is deterministic, so the CLI's artifact renderings can
-be compared byte-for-byte against checked-in goldens.  If a legitimate
-change alters an artifact, regenerate with::
+be compared byte-for-byte against checked-in goldens.  ``repro report``
+renders every paper artifact and extension, so it is the one text
+golden: each per-artifact command (``repro table1``, ``fig2``, ...) must
+print a verbatim section of it.  Table III's CSV export and the
+detector-generalization score (``repro fuzz score``) have formats of
+their own and are pinned separately.
 
-    python -m repro table3 --format csv > tests/goldens/table3.csv
-    python -m repro table2 > tests/goldens/table2.txt
-    python -m repro fig2   > tests/goldens/fig2.txt
-    python -m repro table1 > tests/goldens/table1.txt
+If a legitimate change alters an artifact, regenerate every golden
+from the repository root with::
+
+    PYTHONPATH=src python tests/test_goldens.py
 """
 
+import contextlib
+import io
 import pathlib
+import sys
 
 import pytest
 
 from repro.cli import main
+from repro.vendors import STUDIED_VENDORS
 
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "goldens"
+CORPUS = ROOT / "tests" / "fixtures" / "fuzz_corpus"
 
+#: golden file -> the CLI command whose stdout it pins
 CASES = {
-    "table3.csv": ["table3", "--format", "csv"],
-    "table2.txt": ["table2"],
-    "fig2.txt": ["fig2"],
-    "table1.txt": ["table1"],
+    GOLDEN_DIR / "report.txt": ["report"],
+    GOLDEN_DIR / "table3.csv": ["table3", "--format", "csv"],
+    ROOT / "benchmarks" / "output" / "BENCH_fuzz.json":
+        ["fuzz", "score", "--corpus", str(CORPUS), "--format", "json"],
 }
 
+#: commands whose whole output is one section of ``report.txt``
+SECTIONS = [
+    ["table1"], ["table2"], ["table3"],
+    ["fig1"], ["fig2"], ["fig3"], ["fig4"],
+    ["entropy"], ["sweep"], ["secure"],
+] + [
+    [command, design.name]
+    for command in ("witness", "audit")
+    for design in STUDIED_VENDORS
+]
 
-@pytest.mark.parametrize("golden_name", sorted(CASES))
-def test_artifact_matches_golden(golden_name, capsys):
-    assert main(CASES[golden_name]) == 0
-    rendered = capsys.readouterr().out
-    expected = (GOLDEN_DIR / golden_name).read_text()
-    assert rendered == expected, (
-        f"{golden_name} drifted from its golden; if intentional, regenerate it"
+
+def render(argv):
+    """The stdout of one CLI command, which must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "golden", sorted(CASES), ids=lambda path: path.name
+)
+def test_artifact_matches_golden(golden):
+    assert render(CASES[golden]) == golden.read_text(), (
+        f"{golden.name} drifted from its golden; if intentional, regenerate it"
+    )
+
+
+@pytest.mark.parametrize("argv", SECTIONS, ids=" ".join)
+def test_command_output_is_a_report_section(argv):
+    report = (GOLDEN_DIR / "report.txt").read_text()
+    assert render(argv) in report, (
+        f"'repro {' '.join(argv)}' no longer matches its section of report.txt"
     )
 
 
 def test_goldens_exist_for_every_case():
     on_disk = {path.name for path in GOLDEN_DIR.iterdir()}
-    assert on_disk == set(CASES)
+    assert on_disk == {path.name for path in CASES if path.parent == GOLDEN_DIR}
+
+
+if __name__ == "__main__":
+    for path, argv in CASES.items():
+        path.write_text(render(argv))
+        print(f"wrote {path.relative_to(ROOT)}", file=sys.stderr)

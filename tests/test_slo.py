@@ -38,7 +38,8 @@ from repro.obs.slo import (
     merge_sketch_snapshots,
     score_fault_windows,
 )
-from repro.vendors import vendor
+from repro.secure import SECURE_BASELINES
+from repro.vendors import STUDIED_VENDORS, vendor
 
 #: (name, generator) — three differently-shaped latency populations.
 DISTRIBUTIONS = [
@@ -300,6 +301,16 @@ class TestBurnRates:
         result = evaluate_availability(tracker, SLOSpec())
         assert result["met"] and result["achieved"] == 1.0
         assert all(w["alert_at"] is None for w in result["windows"])
+
+    def test_every_design_is_fully_available_when_calm(self):
+        for design in tuple(STUDIED_VENDORS) + tuple(SECURE_BASELINES):
+            obs = Observability(trace_messages=False)
+            fleet = FleetDeployment(design, households=2, seed=7, observer=obs)
+            fleet.setup_all()
+            fleet.run(60.0)
+            result = evaluate_availability(obs.slo, SLOSpec())
+            assert obs.red.total_requests() > 0, design.name
+            assert result["achieved"] == 1.0, design.name
 
     def test_burn_window_scaling_keeps_ratio(self):
         window = BurnWindow(3600.0, 300.0, 14.4)
