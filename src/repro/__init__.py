@@ -29,7 +29,7 @@ from repro.attacks import AttackReport, Outcome, RemoteAttacker, run_all_attacks
 from repro.cloud import BindSchema, BindSender, CloudService, DeviceAuthMode, VendorDesign
 from repro.core import DeviceShadow, MessageKind, ShadowEvent, ShadowState
 from repro.obs import Observability
-from repro.scenario import Deployment, Party, build_deployment
+from repro.scenario import Deployment, Party
 from repro.secure import SECURE_BASELINES, verify_all_baselines, verify_design
 from repro.vendors import PAPER_TABLE_III, STUDIED_VENDORS, vendor
 
@@ -55,7 +55,6 @@ __all__ = [
     "ShadowState",
     "VendorDesign",
     "__version__",
-    "build_deployment",
     "evaluate_all_vendors",
     "evaluate_vendor",
     "render_table_ii",

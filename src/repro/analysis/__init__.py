@@ -22,11 +22,10 @@ from repro.analysis.evaluator import (
     summarize_attack_prevalence,
 )
 from repro.analysis.recommendations import Finding, check_design, render_findings
-from repro.analysis.report import render_agreement, render_attack_log, render_table_iii
+from repro.analysis.report import render_agreement, render_table_iii
 from repro.analysis.stealth import (
     DetectionReport,
     probe_attack_detectability,
-    render_survey,
     stealth_survey,
 )
 from repro.analysis.surface import (
@@ -35,7 +34,6 @@ from repro.analysis.surface import (
     build_taxonomy,
     explore_surface,
     render_table_ii,
-    surface_summary,
 )
 from repro.analysis.traces import (
     trace_binding_creation,
@@ -49,7 +47,6 @@ __all__ = [
     "DetectionReport",
     "advise",
     "probe_attack_detectability",
-    "render_survey",
     "stealth_survey",
     "verify_advice",
     "Finding",
@@ -78,10 +75,8 @@ __all__ = [
     "evaluate_vendor",
     "explore_surface",
     "render_agreement",
-    "render_attack_log",
     "render_findings",
     "render_table_ii",
     "render_table_iii",
     "summarize_attack_prevalence",
-    "surface_summary",
 ]

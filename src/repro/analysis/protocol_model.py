@@ -161,10 +161,6 @@ class SafetyReport:
     design: str
     traces: Dict[str, Optional[List[str]]]
 
-    @property
-    def safe_against_hijack(self) -> bool:
-        return self.traces["hijack"] is None
-
     def render(self) -> str:
         """Witnesses / safety verdicts, one line per goal."""
         lines = [f"protocol model of {self.design}:"]

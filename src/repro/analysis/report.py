@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.analysis.evaluator import VendorEvaluation, summarize_attack_prevalence
 
@@ -64,11 +64,3 @@ def render_agreement(evaluations: Sequence[VendorEvaluation]) -> str:
     return "\n".join(lines)
 
 
-def render_attack_log(evaluations: Sequence[VendorEvaluation]) -> str:
-    """Every individual attack report, for the appendix-style dump."""
-    lines: List[str] = []
-    for evaluation in evaluations:
-        lines.append(f"== {evaluation.design.name} ==")
-        for attack_id, report in evaluation.reports.items():
-            lines.append(f"  {attack_id:<5} {report.outcome.value:<9} {report.reason}")
-    return "\n".join(lines)

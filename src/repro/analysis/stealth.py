@@ -129,13 +129,3 @@ def stealth_survey(design: VendorDesign, seed: int = 0) -> List[DetectionReport]
     ]
 
 
-def render_survey(design: VendorDesign, reports: List[DetectionReport]) -> str:
-    """Detectability table plus the stealthy-success verdict."""
-    feed = "with notification feed" if design.notifies_user else "no notifications"
-    lines = [f"detectability on {design.name} ({feed}):"]
-    lines.extend("  " + report.line() for report in reports)
-    stealthy = [r.attack_id for r in reports if r.stealthy_success]
-    lines.append(
-        f"  => stealthy successful attacks: {', '.join(stealthy) if stealthy else 'none'}"
-    )
-    return "\n".join(lines)

@@ -12,7 +12,7 @@ printed in Table II are *computed* from the state machine, not typed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.model import run
 from repro.core.states import ShadowEvent, ShadowState
@@ -170,10 +170,3 @@ def render_table_ii() -> str:
     return "\n".join(lines)
 
 
-def surface_summary() -> Dict[str, int]:
-    """Counts used by tests: how many probes exist / change state."""
-    points = explore_surface()
-    return {
-        "total": len(points),
-        "state_changing": sum(1 for p in points if p.changes_state),
-    }

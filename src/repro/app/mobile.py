@@ -117,10 +117,6 @@ class MobileApp:
         """Connect the phone to a Wi-Fi network."""
         self.network.join_lan(self.node_name, lan_id, passphrase)
 
-    def leave_wifi(self) -> None:
-        """Drop to cellular (remote-connection mode of Section II-A)."""
-        self.network.leave_lan(self.node_name)
-
     # ------------------------------------------------------------------
     # user authentication (Figure 1 step 1)
     # ------------------------------------------------------------------
@@ -243,15 +239,6 @@ class MobileApp:
         known = self.devices.setdefault(device.device_id, KnownDevice(device.device_id, device.model))
         known.post_binding_token = device.post_binding_token
         return device.post_binding_token is not None
-
-    def full_setup(self, device: DeviceFirmware, ssid: str, passphrase: str) -> bool:
-        """The complete Figure 1 flow for a factory-fresh device."""
-        if self.user_token is None:
-            self.login()
-        device.power_on()
-        self.provision_wifi(ssid, passphrase)
-        self.local_configure(device)
-        return self.bind_device(device)
 
     # ------------------------------------------------------------------
     # post-binding operation (remote connection)

@@ -19,9 +19,6 @@ class Outcome(Enum):
     #: paper classifies it there (A3-3 that yields control is A4-1)
     ESCALATED = "escalated"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @dataclass
 class AttackReport:

@@ -322,8 +322,9 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> str:
-    from repro.chaos import plan_from_name, plan_names
+    from repro.chaos import plan_from_name
     from repro.chaos.faults import plan_catalog
+    from repro.core.errors import ConfigurationError
 
     if args.action == "list":
         catalog = plan_catalog()
@@ -332,8 +333,13 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
             f"{name:<{width}}  {description}"
             for name, description in catalog.items()
         )
+    if args.plan is None:
+        raise ConfigurationError(
+            f"chaos {args.action} needs a fault plan; see 'repro chaos list'"
+        )
+    plan = plan_from_name(args.plan, args.intensity)  # unknown names raise
     if args.action == "describe":
-        return plan_from_name(args.plan, args.intensity).describe()
+        return plan.describe()
 
     # action == "run": one chaos-enabled fleet, time actually advancing,
     # so windowed faults (partitions, brownouts, restarts) fire.
@@ -341,12 +347,6 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
     from repro.fleet import FleetDeployment
     from repro.vendors import vendor
 
-    if args.plan not in plan_names():
-        from repro.core.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown fault plan {args.plan!r}; see 'repro chaos list'"
-        )
     fleet = FleetDeployment(
         vendor(args.vendor), households=args.households, seed=args.seed
     )
@@ -574,7 +574,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
         lines = [
             f"snapshot {args.path}:",
             f"  version: {data['version']}",
-            f"  design:  {data.get('design')}",
+            f"  design:  {data['design']}",
             f"  time:    t={data.get('time', 0.0):.3f}",
             "  stores:",
         ]
@@ -585,7 +585,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> str:
         return "\n".join(lines)
 
     # action == "load": restore into a fresh world and round-trip check.
-    design = vendor(data.get("design"))
+    design = vendor(data["design"])
     env = Environment(seed=args.seed)
     network = Network(env)
     cloud = CloudService.restore(env, network, design, data)

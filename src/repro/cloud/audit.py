@@ -60,13 +60,6 @@ class AuditEntry:
             return NotImplemented
         return self.row == other.row
 
-    def __hash__(self) -> int:
-        return hash(self.row)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(AUDIT_FIELDS, self.row))
-        return f"AuditEntry({fields})"
-
     def line(self) -> str:
         """One fixed-width log line."""
         mark = "+" if self.outcome == "ok" else "!"

@@ -11,7 +11,7 @@ the check that makes remote-only bindings useless for control
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cloud.state.protocol import Record, RecordStoreBase
 from repro.core.errors import BindingConflict
@@ -56,13 +56,6 @@ class BindingStore(RecordStoreBase):
 
     def is_bound(self, device_id: str) -> bool:
         return device_id in self._records
-
-    def devices_of(self, user_id: str) -> List[str]:
-        return sorted(
-            device_id
-            for device_id, binding in self._records.items()
-            if binding.user_id == user_id
-        )
 
     def create(
         self,

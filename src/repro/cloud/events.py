@@ -151,16 +151,6 @@ class EventFeed(RecordStoreBase):
         self._record_put(record)
         return record
 
-    def discard_record(self, key: str) -> bool:
-        """Remove one cursor (event entries are append-only)."""
-        if key.startswith("cursor:"):
-            user_id = key[len("cursor:"):]
-            existed = self._cursor.pop(user_id, None) is not None
-            if existed:
-                self._record_del(key)
-            return existed
-        return False
-
     def find_record(self, key: str) -> Optional[Record]:
         """O(1)-ish lookup of one event or cursor record by key."""
         if key.startswith("cursor:"):

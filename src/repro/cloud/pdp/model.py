@@ -92,14 +92,6 @@ class AuthzRequest:
         self.post_binding_token = post_binding_token
         self.grantee = grantee
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        presented = ", ".join(
-            f"{name}={getattr(self, name)!r}"
-            for name in self.__slots__
-            if getattr(self, name) not in (None, "")
-        )
-        return f"AuthzRequest({presented})"
-
 
 class RuleEval:
     """One rule's evaluation within a decision: the forensic unit."""
@@ -116,9 +108,6 @@ class RuleEval:
         if self.code:
             return f"{self.rule}:{self.outcome}({self.code})"
         return f"{self.rule}:{self.outcome}"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RuleEval({self.render()})"
 
 
 class Decision:
@@ -178,6 +167,3 @@ class Decision:
         for evaluation in self.evaluations:
             lines.append(f"  {evaluation.render()}")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Decision({'allow' if self.allowed else 'deny'}, {self.trace()})"

@@ -95,16 +95,10 @@ class RuleRef:
         args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
         return f"{self.rule}({args})"
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RuleRef({self.render()})"
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RuleRef):
             return NotImplemented
         return self.rule == other.rule and self.params == other.params
-
-    def __hash__(self) -> int:
-        return hash((self.rule, tuple(sorted(self.params.items()))))
 
 
 class PolicySpec:
@@ -172,13 +166,6 @@ class PolicySpec:
         if not isinstance(other, PolicySpec):
             return NotImplemented
         return self.to_data() == other.to_data()
-
-    def __hash__(self) -> int:
-        return hash(self.digest())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        rules = sum(len(refs) for refs in self.actions.values())
-        return f"PolicySpec({self.name!r}, {len(self.actions)} actions, {rules} rules)"
 
     # -- compilation from the knob space -------------------------------------
 

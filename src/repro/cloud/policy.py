@@ -39,9 +39,6 @@ class BindSender(Enum):
     APP = "app"
     DEVICE = "device"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @unique
 class BindSchema(Enum):
@@ -49,9 +46,6 @@ class BindSchema(Enum):
 
     ACL = "acl"
     CAPABILITY = "capability"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -149,16 +143,6 @@ class VendorDesign:
             )
 
     # -- derived facts used by the analysis layer -----------------------------
-
-    @property
-    def status_forgeable_with_id(self) -> bool:
-        """A remote attacker knowing the device ID can authenticate as it."""
-        return self.device_auth is DeviceAuthMode.DEV_ID
-
-    @property
-    def device_protocol_known(self) -> bool:
-        """Whether an analyst can craft device-side messages at all."""
-        return self.firmware_available
 
     @property
     def unbind_signature(self) -> str:

@@ -76,9 +76,6 @@ class Relay(RecordStoreBase):
         """Hand all pending commands to the polling device and clear them."""
         return self._commands.pop(device_id, [])
 
-    def pending_commands(self, device_id: str) -> List[QueuedCommand]:
-        return list(self._commands.get(device_id, []))
-
     def set_schedule(self, device_id: str, schedule: Mapping[str, Any]) -> None:
         self.apply_record({"device_id": device_id, "schedule": dict(schedule)})
 

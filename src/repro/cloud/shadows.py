@@ -154,8 +154,3 @@ class ShadowStore(RecordStoreBase):
                 device_id, registration["time"], IpAddress(registration["source_ip"])
             )
         return shadow
-
-    def discard_record(self, key: str) -> bool:
-        """Remove one shadow and its registration mark by device id."""
-        self._registrations.pop(key, None)
-        return super().discard_record(key)

@@ -65,13 +65,6 @@ class ShareStore(RecordStoreBase):
     def grantees_of(self, device_id: str) -> List[str]:
         return sorted(self._by_device.get(device_id, {}))
 
-    def devices_shared_with(self, user: str) -> List[str]:
-        return sorted(
-            device_id
-            for device_id, grants in self._by_device.items()
-            if user in grants
-        )
-
     # -- records: nested by device, keyed ``device:grantee`` ------------------
 
     def to_record(self, obj: ShareGrant) -> Record:

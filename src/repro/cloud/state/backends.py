@@ -46,15 +46,7 @@ class JournalCrash(SimulationError):
 
 
 class StateBackend:
-    """Base interface every state backend implements."""
-
-    def append(self, entry: Record) -> None:
-        """Durably record one journal entry."""
-        raise NotImplementedError
-
-    def replay(self) -> Iterator[Record]:
-        """Decode every decodable entry, one at a time, oldest first."""
-        raise NotImplementedError
+    """What every backend shares; each defines ``append`` and ``replay``."""
 
     def verify(self) -> None:
         """Raise :class:`ConfigurationError` if :meth:`replay` would.
@@ -71,14 +63,6 @@ class StateBackend:
     def entry_count(self) -> int:
         """How many entries :meth:`entries` would return."""
         return sum(1 for _ in self.replay())
-
-    def size_bytes(self) -> int:
-        """Encoded size of the backend's contents (0 when not reported)."""
-        return 0
-
-    def clear(self) -> None:
-        """Drop every entry (test/bench reset)."""
-        raise NotImplementedError
 
 
 class MemoryBackend(StateBackend):
@@ -105,10 +89,6 @@ class MemoryBackend(StateBackend):
     def entry_count(self) -> int:
         """Number of recorded entries (no decoding needed)."""
         return len(self._blobs)
-
-    def clear(self) -> None:
-        """Forget everything."""
-        self._blobs = []
 
 
 class JournalBackend(StateBackend):

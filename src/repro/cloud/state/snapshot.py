@@ -78,6 +78,12 @@ def check_snapshot(data: Any) -> Dict[str, Any]:
             f"snapshot version {version!r} is not supported "
             f"(only version {SNAPSHOT_VERSION} loads)"
         )
+    design = data.get("design")
+    if not isinstance(design, str) or not design:
+        raise ConfigurationError(
+            "snapshot has no 'design' name" if design is None
+            else f"snapshot 'design' must be a design name, not {design!r}"
+        )
     if not isinstance(data.get("time", 0.0), (int, float)):
         raise ConfigurationError("snapshot 'time' must be a number")
     stores = data.get("stores")
@@ -115,9 +121,9 @@ def rebuild_shadow_projection(cloud: "CloudService") -> None:
 def load_snapshot(cloud: "CloudService", data: Dict[str, Any]) -> None:
     """Load a v2 snapshot into a *fresh* cloud of the same design."""
     data = check_snapshot(data)
-    if data.get("design") != cloud.design.name:
+    if data["design"] != cloud.design.name:
         raise ConfigurationError(
-            f"snapshot is for design {data.get('design')!r}, "
+            f"snapshot is for design {data['design']!r}, "
             f"not {cloud.design.name!r}"
         )
     if cloud.accounts.record_count() or cloud.bindings.record_count():

@@ -37,9 +37,6 @@ class Origin(Enum):
     DEVICE = "device"
     APP = "app"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @dataclass(frozen=True)
 class Message:

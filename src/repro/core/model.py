@@ -80,14 +80,6 @@ def run(events: Iterable[ShadowEvent], start: ShadowState = ShadowState.INITIAL)
     return state
 
 
-def transition_table() -> Dict[Tuple[ShadowState, ShadowEvent], ShadowState]:
-    """The complete (state, event) -> state table including self-loops."""
-    return {
-        (state, event): next_state(state, event)
-        for state in ShadowState
-        for event in ShadowEvent
-    }
-
 
 def effective_transitions() -> Sequence[Tuple[ShadowState, ShadowEvent, ShadowState]]:
     """Only the state-changing transitions (the arrows of Figure 2)."""

@@ -25,9 +25,6 @@ class MessageKind(Enum):
     BIND = "Bind"
     UNBIND = "Unbind"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @unique
 class CredentialKind(Enum):
@@ -39,9 +36,6 @@ class CredentialKind(Enum):
     USER_TOKEN = "UserToken"
     USER_ID = "UserId"
     USER_PW = "UserPw"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
 
 
 @dataclass(frozen=True)

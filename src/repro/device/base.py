@@ -86,7 +86,10 @@ class ExecutedCommand:
 
 
 class DeviceFirmware:
-    """Base simulated firmware; subclass per device type."""
+    """Base simulated firmware; subclass per device type.
+
+    Each subclass defines ``initial_state()`` and ``read_telemetry()``.
+    """
 
     #: override in subclasses
     model: str = "generic-device"
@@ -138,14 +141,6 @@ class DeviceFirmware:
     # ------------------------------------------------------------------
     # subclass surface
     # ------------------------------------------------------------------
-
-    def initial_state(self) -> Dict[str, Any]:
-        """Initial actuator/sensor state; override per device type."""
-        return {"on": False}
-
-    def read_telemetry(self) -> Dict[str, Any]:
-        """Current sensor readings sent with heartbeats; override."""
-        return {}
 
     def apply_command(self, command: str, arguments: Mapping[str, Any]) -> None:
         """Execute one relayed command; override for richer types."""

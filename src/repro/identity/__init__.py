@@ -11,7 +11,6 @@ from repro.identity.entropy import (
     DEFAULT_REQUEST_RATE,
     SearchSpaceReport,
     analyze,
-    enumerable_within,
     expected_attempts,
     render_report,
     search_space_bits,
@@ -40,7 +39,6 @@ __all__ = [
     "TokenRecord",
     "TokenService",
     "analyze",
-    "enumerable_within",
     "expected_attempts",
     "cached_keypair",
     "generate_keypair",

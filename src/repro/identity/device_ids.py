@@ -46,9 +46,6 @@ class DeviceIdScheme(ABC):
     def candidates(self) -> Iterator[str]:
         """Deterministic enumeration order of the full ID space."""
 
-    def describe(self) -> str:
-        return f"{self.kind} (search space {self.search_space():,})"
-
 
 class MacDeviceId(DeviceIdScheme):
     """IDs equal to the device MAC address with a fixed vendor OUI."""

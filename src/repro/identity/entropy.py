@@ -47,10 +47,6 @@ def time_to_enumerate(space: int, rate: float = DEFAULT_REQUEST_RATE) -> float:
     return space / rate
 
 
-def enumerable_within(space: int, seconds: float, rate: float = DEFAULT_REQUEST_RATE) -> bool:
-    """Whether the full space fits in a time budget at the given rate."""
-    return time_to_enumerate(space, rate) <= seconds
-
 
 @dataclass(frozen=True)
 class SearchSpaceReport:

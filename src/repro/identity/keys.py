@@ -57,10 +57,6 @@ class KeyPair:
     public: PublicKey
     private: PrivateKey
 
-    @property
-    def key_id(self) -> str:
-        return self.public.key_id
-
 
 def generate_keypair(rng: DeterministicRandom, key_id: str) -> KeyPair:
     """Factory-time key generation (one pair per manufactured device)."""

@@ -28,9 +28,6 @@ class TokenKind(Enum):
     BIND = "bind-token"
     POST_BINDING = "post-binding-token"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @dataclass(frozen=True)
 class TokenRecord:
@@ -111,11 +108,6 @@ class TokenService(RecordStoreBase):
             del self._records[token]
             self._record_del(token)
         return len(doomed)
-
-    def live_count(self, kind: Optional[TokenKind] = None) -> int:
-        if kind is None:
-            return len(self._records)
-        return sum(1 for record in self._records.values() if record.kind is kind)
 
     # -- record codec ---------------------------------------------------------
 

@@ -33,9 +33,6 @@ class MitmProxy:
         to pass the original through unchanged."""
         self._rules.append(rule)
 
-    def clear_rewrites(self) -> None:
-        self._rules.clear()
-
     def process(self, packet: Packet) -> Packet:
         """Apply rewrites, then record the (possibly rewritten) packet."""
         message = packet.message

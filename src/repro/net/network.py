@@ -188,9 +188,6 @@ class Network:
                 return lan_id
         return None
 
-    def lan_of(self, node: str) -> Optional[str]:
-        return self._require(node).lan_id
-
     # -- observation hooks ---------------------------------------------------
 
     def add_tap(self, tap: Tap) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.messages import Message, describe
+from repro.core.messages import Message
 from repro.net.address import IpAddress
 from repro.obs.trace import TraceContext
 
@@ -56,36 +56,6 @@ class Packet:
         self.time = time
         self.via_proxy = via_proxy
         self.trace = trace
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Packet):
-            return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and self.observed_src_ip == other.observed_src_ip
-            and self.message == other.message
-            and self.encrypted == other.encrypted
-            and self.time == other.time
-            and self.via_proxy == other.via_proxy
-            and self.trace == other.trace
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Packet(src={self.src!r}, dst={self.dst!r}, "
-            f"observed_src_ip={self.observed_src_ip!r}, message={self.message!r}, "
-            f"encrypted={self.encrypted!r}, time={self.time!r}, "
-            f"via_proxy={self.via_proxy!r}, trace={self.trace!r})"
-        )
-
-    def summary(self) -> str:
-        """Compact one-line rendering for captures and traces."""
-        lock = "TLS" if self.encrypted else "plain"
-        return (
-            f"[t={self.time:.3f}] {self.src} -> {self.dst} "
-            f"({self.observed_src_ip}, {lock}) {describe(self.message)}"
-        )
 
 
 @dataclass

@@ -30,13 +30,9 @@ from repro.obs.detect.timeline import ForensicEvent
 
 
 class Detector:
-    """Base class: a named rule consuming events, producing alerts."""
+    """Base class: a named rule whose ``process(event)`` returns alerts."""
 
     rule = "detector"
-
-    def process(self, event: ForensicEvent) -> List[Alert]:
-        """Consume one event; return any alerts it triggers."""
-        raise NotImplementedError  # pragma: no cover - abstract
 
 
 class ShadowProbeDetector(Detector):

@@ -16,7 +16,7 @@ has seen, so it never double-alerts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.obs.detect.alerts import Alert
 from repro.obs.detect.detectors import Detector, default_detectors
@@ -64,16 +64,3 @@ class DetectionPipeline:
         """
         for event in cloud.forensics.events(self._next_seq):
             self.process(event)
-
-    def summary(self) -> Dict[str, Any]:
-        """Picklable alert summary (counts by rule and severity)."""
-        by_rule: Dict[str, int] = {}
-        by_severity: Dict[str, int] = {}
-        for alert in self.alerts:
-            by_rule[alert.rule] = by_rule.get(alert.rule, 0) + 1
-            by_severity[alert.severity] = by_severity.get(alert.severity, 0) + 1
-        return {
-            "alerts": len(self.alerts),
-            "by_rule": by_rule,
-            "by_severity": by_severity,
-        }

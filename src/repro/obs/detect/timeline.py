@@ -115,15 +115,6 @@ class ForensicEvent:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in _EVENT_FIELDS
-        )
-        return f"ForensicEvent({fields})"
-
 
 class ForensicTimeline(RecordStoreBase):
     """Append-only, per-device ordered evidence of binding exchanges.

@@ -17,7 +17,7 @@ a :class:`~repro.obs.tracer.Tracer`, a
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Iterator, Optional
+from typing import Any, ContextManager, Optional
 
 
 class _NullContext:
@@ -161,8 +161,3 @@ class Observer:
 NULL_OBSERVER = Observer()
 
 
-def iter_hooks() -> Iterator[str]:
-    """Yield the names of all observer hook methods (for docs and tests)."""
-    for name in sorted(vars(Observer)):
-        if not name.startswith("_"):
-            yield name

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -249,13 +249,6 @@ class LatencySketch:
             if index not in self.exemplars or candidate > self.exemplars[index]:
                 self.exemplars[index] = candidate
 
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "LatencySketch":
-        """Rebuild a sketch from its :meth:`snapshot`."""
-        sketch = cls(alpha=snap.get("alpha", DEFAULT_ALPHA))
-        sketch.merge_snapshot(snap)
-        return sketch
-
 
 class RedSeries:
     """One (scope, action) RED series: requests, errors, duration sketch."""
@@ -445,13 +438,6 @@ class RedAccounting:
                 series.errors[code] = series.errors.get(code, 0) + count
             series.sketch.merge_snapshot(row.get("sketch", {}))
 
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "RedAccounting":
-        """Rebuild an accounting from its :meth:`snapshot`."""
-        red = cls(alpha=snap.get("alpha", DEFAULT_ALPHA))
-        red.merge_snapshot(snap)
-        return red
-
 
 class SLOTracker:
     """The availability series: virtual-time-binned (total, bad) counts.
@@ -538,13 +524,6 @@ class SLOTracker:
             cell[1] += bad
         for cause, count in snap.get("bad_by_cause", {}).items():
             self.bad_by_cause[cause] = self.bad_by_cause.get(cause, 0) + count
-
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "SLOTracker":
-        """Rebuild a tracker from its :meth:`snapshot`."""
-        tracker = cls(bin_seconds=snap.get("bin_seconds", 1.0))
-        tracker.merge_snapshot(snap)
-        return tracker
 
 
 @dataclass(frozen=True)
@@ -863,13 +842,3 @@ def evaluate_slo(
     )
 
 
-def merge_sketch_snapshots(
-    snapshots: Iterable[Dict[str, Any]]
-) -> LatencySketch:
-    """Fold sketch snapshots into one sketch (the shard-merge helper)."""
-    merged: Optional[LatencySketch] = None
-    for snap in snapshots:
-        if merged is None:
-            merged = LatencySketch(alpha=snap.get("alpha", DEFAULT_ALPHA))
-        merged.merge_snapshot(snap)
-    return merged if merged is not None else LatencySketch()

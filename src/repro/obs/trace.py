@@ -59,15 +59,6 @@ class TraceContext:
             and self.origin == other.origin
         )
 
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id, self.parent_id, self.origin))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TraceContext(trace_id={self.trace_id!r}, span_id={self.span_id!r}, "
-            f"parent_id={self.parent_id!r}, origin={self.origin!r})"
-        )
-
     @property
     def is_root(self) -> bool:
         """Whether this context started its chain (no parent hop)."""
@@ -82,6 +73,3 @@ class TraceContext:
             origin=self.origin,
         )
 
-    def short(self) -> str:
-        """Compact ``trace/span`` rendering for log lines."""
-        return f"{self.trace_id}/{self.span_id}"

@@ -38,7 +38,7 @@ class Span:
     of its parent's list: its audit row (the tuple the cloud's log
     keeps anyway) and its rule trace (a string), neither of which the
     cyclic collector tracks.  :attr:`children`, :meth:`walk`,
-    :meth:`signature` and :meth:`to_dict` build its
+    :meth:`signature` and the exporters build its
     :class:`ExchangeLeaf` view when read.
     """
 
@@ -63,13 +63,6 @@ class Span:
         self.attrs: Dict[str, Any] = {} if attrs is None else attrs
         self._children: Sequence[Any] = [] if children is None else children
         self.wall_ns = wall_ns              # wall-clock cost of the span body
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Span(name={self.name!r}, kind={self.kind!r}, start={self.start!r}, "
-            f"end={self.end!r}, outcome={self.outcome!r}, attrs={self.attrs!r}, "
-            f"children={len(self._children)})"
-        )
 
     @property
     def children(self) -> List["Span"]:
@@ -102,15 +95,6 @@ class Span:
             tuple(sorted((k, str(v)) for k, v in self.attrs.items())),
             tuple(child.signature() for child in _spans(self._children)),
         )
-
-    def to_dict(self, include_wall: bool = True) -> Dict[str, Any]:
-        """JSON-ready rendering of the subtree."""
-        data = self.node_dict(include_wall)
-        if self._children:
-            data["children"] = [
-                child.to_dict(include_wall) for child in _spans(self._children)
-            ]
-        return data
 
     def node_dict(self, include_wall: bool = True) -> Dict[str, Any]:
         """JSON-ready rendering of this span alone, without ``children``."""

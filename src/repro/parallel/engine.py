@@ -290,11 +290,6 @@ class ShardedCampaignResult:
         return merged_total == self.audit_entries_total
 
     @property
-    def chaotic(self) -> bool:
-        """Whether any shard ran with chaos enabled."""
-        return any(result.chaos is not None for result in self.shard_results)
-
-    @property
     def liveness(self) -> Optional[Dict[str, float]]:
         """Fleet-wide binding liveness under chaos (``None`` when calm)."""
         per_shard = [

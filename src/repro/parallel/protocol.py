@@ -111,9 +111,6 @@ class WorldImageCache:
         while len(self._images) > self.max_entries:
             self._images.popitem(last=False)
 
-    def __len__(self) -> int:
-        return len(self._images)
-
     def stats(self) -> Dict[str, int]:
         """Accounting for the pool's warm-start report."""
         return {"entries": len(self._images), "hits": self.hits, "misses": self.misses}

@@ -201,10 +201,6 @@ class Deployment:
         """Advance the whole world."""
         self.env.run_for(seconds)
 
-    def run_until(self, time: float) -> None:
-        """Advance the whole world to absolute virtual *time*."""
-        self.env.run_until(time)
-
     def run_heartbeats(self, count: int = 2) -> None:
         """Advance long enough for *count* device heartbeats."""
         self.run(self.design.heartbeat_interval * count + 0.5)
@@ -251,10 +247,6 @@ class Deployment:
         """Set up the victim's device; returns overall success."""
         return self.setup_party(self.victim)
 
-    def attacker_own_setup(self) -> bool:
-        """The attacker sets up their own unit (used for traffic analysis)."""
-        return self.setup_party(self.attacker_party)
-
     def victim_partial_setup_online_unbound(self) -> None:
         """Stop the victim's setup in the *online* state (A4-2's window):
         device provisioned and authenticated, binding not yet created."""
@@ -300,10 +292,3 @@ class Deployment:
         """Did the party's *physical* device run a command issued by *user_id*?"""
         party = party or self.victim
         return any(c.issued_by == user_id for c in party.device.executed_commands)
-
-
-def build_deployment(
-    design: VendorDesign, seed: int = 0, observer: Optional[Observer] = None
-) -> Deployment:
-    """Convenience factory mirroring the examples' usage."""
-    return Deployment(design, seed=seed, observer=observer)

@@ -37,6 +37,3 @@ class VirtualClock:
         if delta < 0:
             raise SimulationError("cannot advance by a negative delta")
         self._now += float(delta)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"VirtualClock(t={self._now:.3f})"

@@ -57,6 +57,3 @@ class Environment:
 
     def every(self, interval: float, callback, start_delay: Optional[float] = None) -> EventHandle:
         return self.scheduler.every(interval, callback, start_delay=start_delay)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Environment(t={self.now:.3f}, pending={len(self.scheduler)})"

@@ -21,9 +21,6 @@ from __future__ import annotations
 import random
 import string
 import zlib
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 _HEX = "0123456789abcdef"
 _ALNUM = string.ascii_lowercase + string.digits
@@ -40,12 +37,6 @@ class DeterministicRandom:
 
     def uniform(self, low: float, high: float) -> float:
         return self._rng.uniform(low, high)
-
-    def randint(self, low: int, high: int) -> int:
-        return self._rng.randint(low, high)
-
-    def choice(self, options: Sequence[T]) -> T:
-        return self._rng.choice(options)
 
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)

@@ -211,19 +211,6 @@ class Scheduler:
 
     # -- execution -------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the single earliest pending event; return False if none."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)[2]
-            entry.in_heap = False
-            if entry.cancelled:
-                self._cancelled -= 1
-                continue
-            self.clock.advance_to(entry.time)
-            entry.callback()
-            return True
-        return False
-
     def _pending_at_or_before(self, time: float) -> bool:
         """True iff a live (uncancelled) event is due at or before *time*."""
         while self._queue and self._queue[0][2].cancelled:

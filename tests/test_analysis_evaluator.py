@@ -9,7 +9,7 @@ from repro.analysis.evaluator import (
     evaluate_vendor,
     summarize_attack_prevalence,
 )
-from repro.analysis.report import render_agreement, render_attack_log, render_table_iii
+from repro.analysis.report import render_agreement, render_table_iii
 from repro.vendors import PAPER_TABLE_III, vendor
 
 
@@ -64,11 +64,6 @@ class TestRendering:
     def test_agreement_render_reports_exact_reproduction(self, evaluations):
         text = render_agreement(evaluations)
         assert "exact reproduction" in text
-
-    def test_attack_log_lists_every_attack(self, evaluations):
-        text = render_attack_log(evaluations)
-        for attack_id in ("A1", "A2", "A3-1", "A4-3"):
-            assert attack_id in text
 
     def test_diff_against_unknown_vendor(self):
         from repro.cloud.policy import VendorDesign

@@ -59,7 +59,7 @@ class TestSafety:
     @pytest.mark.parametrize("design", SECURE_BASELINES, ids=lambda d: d.name)
     def test_secure_baselines_hijack_unreachable(self, design):
         report = check_safety(design)
-        assert report.safe_against_hijack, report.render()
+        assert report.traces["hijack"] is None, report.render()
         # ...from the setup window too
         assert find_trace(design, "hijack", start=ONLINE_WINDOW) is None
 
@@ -68,7 +68,7 @@ class TestSafety:
         assert all(trace is None for trace in report.traces.values()), report.render()
 
     def test_dlink_hijack_unreachable_despite_devid(self):
-        assert check_safety(vendor("D-LINK")).safe_against_hijack
+        assert check_safety(vendor("D-LINK")).traces["hijack"] is None
 
     def test_render_mentions_witnesses(self):
         text = check_safety(vendor("TP-LINK")).render()

@@ -2,7 +2,6 @@
 
 from repro.analysis.stealth import (
     probe_attack_detectability,
-    render_survey,
     stealth_survey,
 )
 from repro.cloud.policy import VendorDesign
@@ -86,14 +85,12 @@ class TestDetectability:
         assert report.attack_outcome == "yes"
         assert "binding-unbound" in report.notifications
 
-    def test_survey_and_render(self):
+    def test_survey_covers_the_notifying_design(self):
         design = notifying()
         reports = stealth_survey(design, seed=33)
         assert {r.attack_id for r in reports} == {
             "A1", "A3-1", "A3-2", "A3-3", "A3-4", "A4-1", "A4-3",
         }
-        text = render_survey(design, reports)
-        assert "stealthy successful attacks" in text
 
     def test_failed_attacks_are_never_stealthy_successes(self):
         reports = stealth_survey(vendor("Philips Hue"), seed=33)

@@ -131,7 +131,7 @@ class TestDeploymentInvariants:
     def test_attacker_own_setup_is_independent(self):
         world = Deployment(vendor("Belkin"), seed=6)
         assert world.victim_full_setup()
-        assert world.attacker_own_setup()
+        assert world.setup_party(world.attacker_party)
         assert world.bound_user(world.victim) == world.victim.user_id
         assert world.bound_user(world.attacker_party) == world.attacker_party.user_id
 

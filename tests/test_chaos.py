@@ -72,6 +72,16 @@ class TestFaultPlans:
         assert doubled.brownouts[0].end == 30.0  # window stretches
         tripled = plan.scaled(10.0)
         assert tripled.link_faults[0].loss == 1.0  # clamped
+        # partition windows stretch or shrink from their start
+        storm = plan_from_name("partition-storm")
+        for intensity in (0.5, 2.0):
+            scaled = storm.scaled(intensity).partitions
+            assert [(p.start, p.end) for p in scaled] == [
+                (p.start, p.start + (p.end - p.start) * intensity)
+                for p in storm.partitions
+            ]
+        forever = Partition(groups=("device",), start=5.0, end=float("inf"))
+        assert forever.scaled(0.5) is forever
 
     def test_intensity_zero_is_inert(self):
         plan = plan_from_name("cloud-restart", intensity=0.0)

@@ -119,6 +119,22 @@ class TestCli:
         pool = json.loads(out)["report"]["pool"]
         assert code == 0 and (pool["cold_builds"], pool["warm_starts"]) == (2, 2)
 
+    def test_designs_diff_json_matches_the_text_header(self, capsys):
+        argv = ["designs", "diff", "--limit", "64"]
+        code, text = self.run(argv, capsys)
+        json_code, out = self.run(argv + ["--format", "json"], capsys)
+        data = json.loads(out)
+        assert code == json_code == 0
+        space, agreement = text.splitlines()[:2]
+        assert space == (
+            f"policy design space: {data['policies']} consistent policies, "
+            f"{data['distinct_specs']} distinct rule sets"
+        )
+        assert agreement.startswith(
+            f"  oracle agreement: {data['agreements']}/{data['policies']} policies"
+        )
+        assert data["policies"] == 64
+
     def test_unknown_vendor_is_an_error(self, tmp_path, capsys):
         for argv in (
             ["attack", "NoSuch", "A1"],
@@ -220,8 +236,11 @@ class TestCli:
         ({"version": 2, "design": "OZWI", "stores": [1]}, "'stores'"),
         ({"version": 2, "design": "OZWI", "time": "x", "stores": {}}, "'time'"),
         ({"version": 1, "design": "OZWI"}, "version 1"),
+        ({"version": 2, "stores": {}}, "'design'"),
+        ({"version": 2, "design": 7, "stores": {}}, "'design'"),
     ], ids=["top-level-list", "section-not-list", "record-not-object",
-            "no-stores", "stores-list", "bad-time", "version-1"])
+            "no-stores", "stores-list", "bad-time", "version-1", "no-design",
+            "design-not-a-name"])
     @pytest.mark.parametrize("action", ["load", "inspect"])
     def test_malformed_snapshot_document_is_an_error(
         self, action, document, named, tmp_path, capsys
@@ -248,6 +267,8 @@ class TestCli:
         (["slo", "--latency-us", "0"], "latency threshold"),
         (["slo", "--latency-us", "nan"], "latency threshold"),
         (["chaos", "run", "lossy-lan", "--seconds", "-1"], "--seconds"),
+        (["chaos", "run"], "chaos run needs a fault plan"),
+        (["chaos", "describe"], "chaos describe needs a fault plan"),
         (["snapshot", "save", "unused.json", "--run-seconds", "-4"],
          "--run-seconds"),
         (["campaign", "--intensity", "-1"], "--intensity"),

@@ -28,7 +28,6 @@ class TestShareStore:
         store.grant("d", "alice", "bob", 1.0)
         assert store.is_granted("d", "bob")
         assert store.grantees_of("d") == ["bob"]
-        assert store.devices_shared_with("bob") == ["d"]
 
     def test_duplicate_and_self_grants_rejected(self):
         store = ShareStore()

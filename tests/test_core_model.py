@@ -6,8 +6,8 @@ from repro.core.model import (
     reachable_states,
     render_figure_2,
     run,
+    next_state,
     shortest_paths,
-    transition_table,
 )
 from repro.core.states import ShadowEvent, ShadowState
 
@@ -44,8 +44,13 @@ class TestPaths:
 
 class TestTables:
     def test_transition_table_is_total(self):
-        table = transition_table()
+        table = {
+            (state, event): next_state(state, event)
+            for state in ShadowState
+            for event in ShadowEvent
+        }
         assert len(table) == len(ShadowState) * len(ShadowEvent)
+        assert set(table.values()) <= set(ShadowState)
 
     def test_effective_transitions_count(self):
         assert len(effective_transitions()) == 8

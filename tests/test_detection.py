@@ -65,7 +65,6 @@ class TestTraceContext:
         assert child.trace_id == "T1"
         assert child.parent_id == "s1"
         assert child.origin == "app:a"
-        assert child.short() == "T1/s2"
 
 
 class TestTracePropagation:

@@ -69,9 +69,9 @@ class TestDeviceScheduleExecution:
         world.victim.app.set_schedule(device.device_id, {"on": "01:00", "off": "02:00"})
         world.run_heartbeats(1)
         assert device.state["on"] is False
-        world.run_until(1 * 3600.0 + 120.0)   # just past 01:00 virtual
+        world.env.run_until(1 * 3600.0 + 120.0)   # just past 01:00 virtual
         assert device.state["on"] is True
-        world.run_until(2 * 3600.0 + 120.0)   # just past 02:00 virtual
+        world.env.run_until(2 * 3600.0 + 120.0)   # just past 02:00 virtual
         assert device.state["on"] is False
         scheduled = [c for c in device.executed_commands if c.issued_by == "schedule"]
         assert [c.command for c in scheduled] == ["on", "off"]
@@ -83,5 +83,5 @@ class TestDeviceScheduleExecution:
         world.run_heartbeats(1)
         world.victim.app.set_schedule(device.device_id, {})
         world.run_heartbeats(1)
-        world.run_until(1 * 3600.0 + 120.0)
+        world.env.run_until(1 * 3600.0 + 120.0)
         assert device.state["on"] is False

@@ -5,8 +5,8 @@ be compared byte-for-byte against checked-in goldens.  ``repro report``
 renders every paper artifact and extension, so it is the one text
 golden: each per-artifact command (``repro table1``, ``fig2``, ...) must
 print a verbatim section of it.  Table III's CSV export and the
-detector-generalization score (``repro fuzz score``) have formats of
-their own and are pinned separately.
+detector-generalization score (the file ``repro fuzz score --out``
+writes) have formats of their own and are pinned separately.
 
 If a legitimate change alters an artifact, regenerate every golden
 from the repository root with::
@@ -18,6 +18,7 @@ import contextlib
 import io
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -28,12 +29,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "goldens"
 CORPUS = ROOT / "tests" / "fixtures" / "fuzz_corpus"
 
-#: golden file -> the CLI command whose stdout it pins
+#: golden file -> the CLI command that produces it: the file it writes
+#: to ``{out}`` if it names one, else its stdout
 CASES = {
     GOLDEN_DIR / "report.txt": ["report"],
     GOLDEN_DIR / "table3.csv": ["table3", "--format", "csv"],
     ROOT / "benchmarks" / "output" / "BENCH_fuzz.json":
-        ["fuzz", "score", "--corpus", str(CORPUS), "--format", "json"],
+        ["fuzz", "score", "--corpus", str(CORPUS), "--out", "{out}"],
 }
 
 #: commands whose whole output is one section of ``report.txt``
@@ -56,11 +58,21 @@ def render(argv):
     return out.getvalue()
 
 
+def produce(argv):
+    """The bytes one case's command produces."""
+    if "{out}" not in argv:
+        return render(argv).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "out"
+        render([str(path) if arg == "{out}" else arg for arg in argv])
+        return path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "golden", sorted(CASES), ids=lambda path: path.name
 )
 def test_artifact_matches_golden(golden):
-    assert render(CASES[golden]) == golden.read_text(), (
+    assert produce(CASES[golden]) == golden.read_bytes(), (
         f"{golden.name} drifted from its golden; if intentional, regenerate it"
     )
 
@@ -80,5 +92,5 @@ def test_goldens_exist_for_every_case():
 
 if __name__ == "__main__":
     for path, argv in CASES.items():
-        path.write_text(render(argv))
+        path.write_bytes(produce(argv))
         print(f"wrote {path.relative_to(ROOT)}", file=sys.stderr)

@@ -14,7 +14,6 @@ from repro.identity.device_ids import (
 from repro.identity.entropy import (
     SECONDS_PER_HOUR,
     analyze,
-    enumerable_within,
     expected_attempts,
     render_report,
     search_space_bits,
@@ -109,9 +108,9 @@ class TestTokenService:
         tokens = self.make()
         tokens.issue(TokenKind.USER, "alice")
         tokens.issue(TokenKind.USER, "alice")
-        tokens.issue(TokenKind.DEVICE, "alice")
+        device = tokens.issue(TokenKind.DEVICE, "alice")
         assert tokens.revoke_subject("alice", TokenKind.USER) == 2
-        assert tokens.live_count(TokenKind.DEVICE) == 1
+        assert tokens.lookup(device, TokenKind.DEVICE) is not None
 
     def test_tokens_are_unique(self):
         tokens = self.make()
@@ -152,11 +151,11 @@ class TestEntropy:
 
     def test_seven_digit_ids_enumerable_within_an_hour(self):
         # Section I: 6-7 digit IDs traversable "within an hour".
-        assert enumerable_within(10 ** 7, SECONDS_PER_HOUR, rate=3000)
-        assert enumerable_within(10 ** 6, SECONDS_PER_HOUR, rate=300)
+        assert time_to_enumerate(10 ** 7, rate=3000) <= SECONDS_PER_HOUR
+        assert time_to_enumerate(10 ** 6, rate=300) <= SECONDS_PER_HOUR
 
     def test_mac_suffix_not_enumerable_within_an_hour_at_same_rate(self):
-        assert not enumerable_within(2 ** 24, SECONDS_PER_HOUR, rate=3000)
+        assert time_to_enumerate(2 ** 24, rate=3000) > SECONDS_PER_HOUR
 
     def test_random_hex_infeasible(self):
         report = analyze(RandomDeviceId(32))

@@ -137,9 +137,6 @@ class TestScheduler:
         scheduler.run_until(2.0, max_events=1)
         assert fired == [1]
 
-    def test_step_returns_false_when_empty(self):
-        assert Scheduler().step() is False
-
     def test_len_counts_pending_uncancelled(self):
         scheduler = Scheduler()
         handle = scheduler.at(1.0, lambda: None)

@@ -35,7 +35,6 @@ from repro.obs.slo import (
     evaluate_latency,
     evaluate_slo,
     fault_windows,
-    merge_sketch_snapshots,
     score_fault_windows,
 )
 from repro.secure import SECURE_BASELINES
@@ -116,7 +115,9 @@ class TestSketchMergeIdentity:
         for i, value in enumerate(samples):
             serial.observe(value, trace_id=f"t{i}")
             parts[i % shards].observe(value, trace_id=f"t{i}")
-        merged = merge_sketch_snapshots(p.snapshot() for p in parts)
+        merged = LatencySketch()
+        for part in parts:
+            merged.merge_snapshot(part.snapshot())
         # Everything a quantile reads — integer bucket counts, min/max,
         # exemplars — matches exactly; float `sum` is compared with an
         # ULP tolerance because addition order differs across shards.
@@ -135,7 +136,8 @@ class TestSketchMergeIdentity:
     def test_campaign_red_snapshots_merge(self):
         obs_a, _ = observed_fleet(seed=3)
         obs_b, _ = observed_fleet(seed=4)
-        merged = RedAccounting.from_snapshot(obs_a.red.snapshot())
+        merged = RedAccounting()
+        merged.merge_snapshot(obs_a.red.snapshot())
         merged.merge_snapshot(obs_b.red.snapshot())
         assert merged.total_requests() == (
             obs_a.red.total_requests() + obs_b.red.total_requests()
@@ -146,7 +148,8 @@ class TestSketchMergeIdentity:
         )
         # Merge order is how shard grouping varies: a-then-b and
         # b-then-a agree on everything but the ULP-level float `sum`.
-        backward = RedAccounting.from_snapshot(obs_b.red.snapshot())
+        backward = RedAccounting()
+        backward.merge_snapshot(obs_b.red.snapshot())
         backward.merge_snapshot(obs_a.red.snapshot())
 
         def split_sums(snap):
@@ -247,7 +250,8 @@ class TestSLOTracker:
             if 30 <= t < 40:
                 serial.record_bad(float(t), "drop")
                 parts[t % 2].record_bad(float(t), "drop")
-        merged = SLOTracker.from_snapshot(parts[0].snapshot())
+        merged = SLOTracker()
+        merged.merge_snapshot(parts[0].snapshot())
         merged.merge_snapshot(parts[1].snapshot())
         assert merged.snapshot() == serial.snapshot()
 
@@ -386,7 +390,8 @@ class TestSnapshotWiring:
         obs_b, _ = observed_fleet(seed=4)
         merged = merge_snapshots([snapshot(obs_a), snapshot(obs_b)])
         assert merged["slo"]["total"] == obs_a.slo.total + obs_b.slo.total
-        merged_red = RedAccounting.from_snapshot(merged["red"]["requests"])
+        merged_red = RedAccounting()
+        merged_red.merge_snapshot(merged["red"]["requests"])
         assert merged_red.total_requests() == (
             obs_a.red.total_requests() + obs_b.red.total_requests()
         )
