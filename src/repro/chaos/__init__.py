@@ -44,7 +44,6 @@ from repro.chaos.faults import (
     Partition,
     plan_from_name,
     plan_names,
-    uniform_loss_plan,
 )
 from repro.chaos.injector import FaultInjector
 from repro.chaos.resilience import (
@@ -75,5 +74,4 @@ __all__ = [
     "binding_liveness",
     "plan_from_name",
     "plan_names",
-    "uniform_loss_plan",
 ]

@@ -46,7 +46,10 @@ class LinkFault:
     in virtual seconds with up to ``jitter`` more drawn uniformly on
     top.  ``duplicate`` re-delivers a successful request once
     (at-least-once semantics); ``reorder`` shuffles broadcast delivery
-    order.  The rule is active during ``[start, end)``.
+    order, which changes who hears a broadcast first only on a LAN with
+    two or more receivers besides the sender.  The rule is active during
+    ``[start, end)``.  A probability outside [0, 1] is a
+    :class:`~repro.core.errors.ConfigurationError`.
     """
 
     src: str = ANY_GROUP
@@ -58,6 +61,13 @@ class LinkFault:
     reorder: float = 0.0
     start: float = 0.0
     end: float = math.inf
+
+    def __post_init__(self) -> None:
+        for knob in ("loss", "duplicate", "reorder"):
+            if not 0.0 <= getattr(self, knob) <= 1.0:
+                raise ConfigurationError(
+                    f"link fault {knob} probability must be within [0, 1]"
+                )
 
     def active(self, now: float) -> bool:
         """Whether the rule applies at time *now*."""
@@ -206,20 +216,6 @@ class FaultPlan:
         return "\n".join(lines)
 
 
-def uniform_loss_plan(probability: float) -> FaultPlan:
-    """The legacy knob as a plan: drop every request with *probability*.
-
-    This is what :meth:`~repro.net.network.Network.set_loss` installs
-    behind the scenes, so the old single-number interface and the new
-    fault-plan machinery share one delivery path.
-    """
-    return FaultPlan(
-        name="uniform-loss",
-        description=f"drop every request with probability {probability:g}",
-        link_faults=(LinkFault(loss=probability),),
-    )
-
-
 def _preset_lossy_lan() -> FaultPlan:
     """Flaky last-mile Wi-Fi between the home and the cloud."""
     return FaultPlan(
@@ -250,7 +246,8 @@ def _preset_jittery_backhaul() -> FaultPlan:
     return FaultPlan(
         name="jittery-backhaul",
         description="0.4s base latency with 0.4s jitter to the cloud "
-                    "(interacts with client timeouts) and reordered broadcasts",
+                    "(interacts with client timeouts) and reordered app "
+                    "broadcasts (a no-op on a LAN with one receiver)",
         link_faults=(
             LinkFault(dst="cloud", latency=0.4, jitter=0.4),
             LinkFault(src="app", reorder=0.5),

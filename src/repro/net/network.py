@@ -93,6 +93,9 @@ class Network:
         self.env = env
         self._nodes: Dict[str, _Node] = {}
         self._lans: Dict[str, Lan] = {}
+        #: ssid -> the first LAN created with it (LANs are never removed
+        #: or renamed), so a Wi-Fi scan is one lookup, not a fleet walk
+        self._lan_by_ssid: Dict[str, str] = {}
         self._taps: List[Tap] = []
         self._proxies: Dict[str, PacketProxy] = {}
         #: named fault filters, consulted in installation order around
@@ -142,6 +145,7 @@ class Network:
             raise ProtocolError(f"LAN {lan_id!r} already exists")
         lan = Lan(lan_id, ssid, passphrase, IpAddress(public_ip), subnet_prefix)
         self._lans[lan_id] = lan
+        self._lan_by_ssid.setdefault(ssid, lan_id)
         return lan
 
     def join_lan(self, node: str, lan_id: str, passphrase: str) -> None:
@@ -182,11 +186,11 @@ class Network:
         return self._require_lan(lan_id)
 
     def find_lan_by_ssid(self, ssid: str) -> Optional[str]:
-        """The LAN id broadcasting *ssid*, if any (Wi-Fi scan)."""
-        for lan_id, lan in self._lans.items():
-            if lan.ssid == ssid:
-                return lan_id
-        return None
+        """The LAN id broadcasting *ssid*, if any (Wi-Fi scan).
+
+        When several LANs share an SSID, the first one created wins.
+        """
+        return self._lan_by_ssid.get(ssid)
 
     # -- observation hooks ---------------------------------------------------
 
@@ -219,33 +223,9 @@ class Network:
         """
         self._fault_filters[name] = filt
 
-    def remove_fault_filter(self, name: str) -> None:
-        """Uninstall a fault filter; unknown names are a no-op."""
-        self._fault_filters.pop(name, None)
-
     def fault_filter(self, name: str) -> Optional[FaultFilter]:
         """The installed filter registered under *name*, if any."""
         return self._fault_filters.get(name)
-
-    def set_loss(self, probability: float) -> None:
-        """Drop each request with *probability* (0 disables).
-
-        Models flaky last-mile connectivity; callers see a plain
-        :class:`NetworkError`, exactly like a timeout.  Implemented as a
-        uniform-loss fault plan installed under the filter name
-        ``"loss"``, so the legacy knob and ``repro.chaos`` share one
-        delivery path (and one seeded RNG discipline).
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ProtocolError("loss probability must be within [0, 1]")
-        if probability == 0.0:
-            self.remove_fault_filter("loss")
-            return
-        from repro.chaos.faults import uniform_loss_plan
-        from repro.chaos.injector import FaultInjector
-
-        plan = uniform_loss_plan(probability)
-        self.add_fault_filter("loss", FaultInjector(self.env, plan))
 
     # -- delivery ------------------------------------------------------------
 

@@ -31,7 +31,13 @@ Start method: ``forkserver`` where available (clean template process,
 no inherited locks), else ``fork``, else ``spawn`` — the worker entry
 point imports everything it needs, so all three behave identically.
 The forkserver preloads the engine, so each worker forks with
-``repro`` already imported.
+``repro`` already imported, however the coordinator found it
+(:func:`_start_forkserver`).
+
+The coordinator collects results as they arrive: when nothing is
+readable it blocks on the outbound queue of a busy slot, for at most
+one heartbeat interval, and checks its workers at least once per
+interval while it waits.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 import multiprocessing
+from multiprocessing import forkserver
 
 from repro.parallel.protocol import (
     Heartbeat,
@@ -86,6 +93,29 @@ def preferred_start_method() -> str:
     """``forkserver`` > ``fork`` > ``spawn``, whichever the platform has."""
     methods = multiprocessing.get_all_start_methods()
     return next(m for m in ("forkserver", "fork", "spawn") if m in methods)
+
+
+def _start_forkserver() -> None:
+    """Start the forkserver so that its preload can import ``repro``.
+
+    The forkserver is a fresh interpreter that never sees the
+    coordinator's ``sys.path``, so the directory holding this ``repro``
+    goes first on its ``PYTHONPATH`` for that one start.  A forkserver
+    that is already running is left alone.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [root] + ([saved] if saved else [])
+    )
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
 
 
 def task_overdue(
@@ -234,6 +264,8 @@ class WorkerPool:
             raise PoolError("pool is closed")
         if self._started:
             return
+        if self.start_method == "forkserver":
+            _start_forkserver()
         for slot in self._slots:
             self._spawn(slot)
         self._started = True
@@ -339,10 +371,9 @@ class WorkerPool:
                     slot, TaskRequest(task_id=task_id, spec=spec), attempts
                 )
             while len(results) < len(specs):
-                progressed = self._drain(results)
-                if not progressed:
+                if not self._drain(results):
                     self._check_workers(attempts, results)
-                    time.sleep(0.01)
+                    self._await_message(results)
         finally:
             self._on_dispatch = None
             self.run_wall_seconds += time.monotonic() - started
@@ -381,15 +412,36 @@ class WorkerPool:
                 except (EOFError, OSError):  # pragma: no cover - torn pipe
                     break
                 progressed = True
-                if isinstance(message, WorkerHello):
-                    slot.hello = True
-                if isinstance(message, (Heartbeat, WorkerHello)):
-                    slot.last_heartbeat = now
-                    continue
-                if isinstance(message, TaskResult):
-                    slot.last_heartbeat = now
-                    self._absorb(slot, message, results, now)
+                self._receive(slot, message, results, now)
         return progressed
+
+    def _await_message(self, results: Dict[int, Any]) -> None:
+        """Block until a busy slot sends something, or one heartbeat
+        interval passes.
+
+        Every task is dispatched before the first wait, so waking on any
+        one busy slot is enough: the run ends only once every slot has
+        answered, and a silent or dead slot is caught by the worker
+        check that follows the timeout.
+        """
+        slot = next(s for s in self._slots if s.outstanding)
+        try:
+            message = slot.out_queue.get(timeout=self.heartbeat_interval)
+        except (queue_module.Empty, EOFError, OSError):  # nothing, or torn pipe
+            return
+        self._receive(slot, message, results, time.monotonic())
+
+    def _receive(
+        self, slot: _Slot, message: Any, results: Dict[int, Any], now: float
+    ) -> None:
+        if isinstance(message, WorkerHello):
+            slot.hello = True
+        if isinstance(message, (Heartbeat, WorkerHello)):
+            slot.last_heartbeat = now
+            return
+        if isinstance(message, TaskResult):
+            slot.last_heartbeat = now
+            self._absorb(slot, message, results, now)
 
     def _absorb(
         self, slot: _Slot, message: TaskResult, results: Dict[int, Any], now: float

@@ -32,7 +32,9 @@ from repro.core.errors import (
     RequestRejected,
     RequestTimeout,
 )
+from repro.core.messages import Response, StatusMessage
 from repro.fleet import FleetDeployment
+from repro.net.network import Network
 from repro.sim.environment import Environment
 from repro.vendors import vendor
 
@@ -205,13 +207,53 @@ class TestCircuitBreaker:
         assert breaker.opened_total == 2
 
 
+class TestBroadcastReorder:
+    """``jittery-backhaul`` shuffles app broadcasts; only a LAN with two
+    or more receivers besides the app can tell."""
+
+    def lan(self, receivers):
+        env = Environment(seed=5)
+        network = Network(env)
+        network.create_lan("lan", "ssid", "pw", "203.0.113.7")
+        for name in ["app:0"] + [f"device:{i}" for i in range(receivers)]:
+            network.add_node(name, handler=lambda packet: Response())
+            network.join_lan(name, "lan", "pw")
+        injector = FaultInjector(env, plan_from_name("jittery-backhaul"))
+        network.add_fault_filter("chaos", injector)
+        return network, injector
+
+    def orders(self, network):
+        return {
+            tuple(
+                exchange.request.dst
+                for exchange in network.broadcast("app:0", StatusMessage(device_id="d"))
+            )
+            for _ in range(20)
+        }
+
+    def test_several_receivers_hear_a_reordered_broadcast(self):
+        network, injector = self.lan(receivers=3)
+        orders = self.orders(network)
+        assert injector.stats["reordered"] > 0
+        assert len(orders) > 1
+        assert {tuple(sorted(order)) for order in orders} == {
+            ("device:0", "device:1", "device:2")
+        }
+
+    def test_one_receiver_makes_the_reorder_a_no_op(self):
+        network, injector = self.lan(receivers=1)
+        assert self.orders(network) == {("device:0",)}
+        assert injector.stats["reordered"] > 0  # the rule fired all the same
+
+
 class TestResilientClient:
     def _world(self, loss, seed=3):
         design = make_design()
         fleet = FleetDeployment(design, households=1, seed=seed)
         assert fleet.setup_all() == 1
         if loss:
-            fleet.network.set_loss(loss)
+            plan = FaultPlan(name="uniform-loss", link_faults=(LinkFault(loss=loss),))
+            fleet.network.add_fault_filter("loss", FaultInjector(fleet.env, plan))
         return fleet
 
     def test_retries_recover_from_moderate_loss(self):

@@ -2,6 +2,8 @@
 known-weak and secure designs, craft gating, and (marked ``fuzz``)
 hypothesis-driven search and shrinking."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.fuzz import (
@@ -17,6 +19,7 @@ from repro.fuzz import (
     principal_of,
     witness_from_report,
 )
+from repro.fuzz.oracles import ModelTracker
 from repro.fuzz.steps import MODEL_MOVES, VOCABULARY
 
 
@@ -152,6 +155,50 @@ def test_model_tracker_retires_on_non_model_steps():
     )
     assert report.model_steps == 0  # tracker retired before the bind
     assert report.divergences == []
+
+
+def outcome(step, sent=True, accepted=False, owner="owner", code="x"):
+    """A hand-built executor outcome for one step."""
+    return {"step": step, "sent": sent, "accepted": accepted,
+            "owner": owner, "code": code}
+
+
+# KONKE's attacker can craft a bind and nothing else, so
+# ``attacker-bind`` is craftable and ``attacker-unbind1`` is not.
+@pytest.mark.parametrize("kind, step_outcome", [
+    ("craftability", outcome("attacker-bind", sent=False, code="blocked")),
+    ("owner-state", outcome("attacker-unbind1", owner="")),
+    ("acceptance", outcome("attacker-unbind1", accepted=True)),
+])
+def test_model_tracker_records_a_contradicting_step_and_retires(
+    kind, step_outcome
+):
+    tracker = ModelTracker(design_named("KONKE"))
+    assert tracker.moves == ["bind"]
+    tracker.observe(3, step_outcome)
+    assert [(d["kind"], d["step"], d["step_name"]) for d in tracker.divergences] == [
+        (kind, 3, step_outcome["step"])
+    ]
+    assert not tracker.active
+    tracker.observe(4, outcome("attacker-unbind1", owner="attacker"))
+    assert len(tracker.divergences) == 1  # retired: nothing more recorded
+
+
+def test_model_tracker_records_an_unpredicted_hijack_and_retires():
+    tracker = ModelTracker(design_named("KONKE"))
+    tracker.observe(0, outcome("attacker-unbind1"))  # rejected, as predicted
+    assert tracker.divergences == [] and tracker.applied == 1
+    executor = SimpleNamespace(
+        probe_hijack=lambda: {"accepted": True, "executed": True},
+        deployment=SimpleNamespace(victim=SimpleNamespace(
+            device=SimpleNamespace(executed_commands=["hijack"]))),
+    )
+    assert tracker.finish(executor) == {"accepted": True, "executed": True}
+    assert [(d["kind"], d["step"], d["step_name"]) for d in tracker.divergences] == [
+        ("hijack-reachability", 1, "(probe)")
+    ]
+    assert not tracker.active
+    assert tracker.finish(executor) is None
 
 
 # ---------------------------------------------------------------------------

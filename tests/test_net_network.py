@@ -103,6 +103,13 @@ class TestReachability:
         assert network.find_lan_by_ssid("home") == "lan:home"
         assert network.find_lan_by_ssid("nope") is None
 
+    def test_repeated_ssid_finds_the_first_created_lan(self, world):
+        _, network = world
+        network.create_lan("lan:twin", "home", "pass-twin", "203.0.113.99")
+        network.create_lan("lan:twin2", "lab", "pass-twin2", "203.0.113.98")
+        assert network.find_lan_by_ssid("home") == "lan:home"
+        assert network.find_lan_by_ssid("lab") == "lan:lab"
+
 
 class TestTapsAndProxies:
     def test_tap_sees_exchanges(self, world):

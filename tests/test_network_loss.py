@@ -1,9 +1,17 @@
-"""Failure injection: flaky connectivity and the binding's resilience."""
+"""Failure injection: flaky connectivity and the binding's resilience.
+
+Loss is a chaos :class:`~repro.chaos.LinkFault` plan installed through a
+:class:`~repro.chaos.FaultInjector`, the same path chaos campaigns use;
+a loss spell that ends is a fault window ``[start, end)``.
+"""
+
+import math
 
 import pytest
 
+from repro.chaos import FaultInjector, FaultPlan, LinkFault
 from repro.cloud.policy import DeviceAuthMode, VendorDesign
-from repro.core.errors import NetworkError, ProtocolError
+from repro.core.errors import ConfigurationError, NetworkError
 from repro.scenario import Deployment
 
 
@@ -15,17 +23,28 @@ def make_world():
     return Deployment(design, seed=77)
 
 
+def install_loss(world, probability, seconds=math.inf):
+    """Drop every request with *probability* for the next *seconds*."""
+    now = world.env.now
+    plan = FaultPlan(
+        name="uniform-loss",
+        link_faults=(LinkFault(loss=probability, start=now, end=now + seconds),),
+    )
+    injector = FaultInjector(world.env, plan)
+    world.network.add_fault_filter("loss", injector)
+    return injector
+
+
 class TestLossKnob:
     def test_invalid_probability_rejected(self):
-        world = make_world()
-        with pytest.raises(ProtocolError):
-            world.network.set_loss(1.5)
-        with pytest.raises(ProtocolError):
-            world.network.set_loss(-0.1)
+        with pytest.raises(ConfigurationError):
+            LinkFault(loss=1.5)
+        with pytest.raises(ConfigurationError):
+            LinkFault(loss=-0.1)
 
     def test_total_loss_blocks_everything(self):
         world = make_world()
-        world.network.set_loss(1.0)
+        install_loss(world, 1.0)
         with pytest.raises(NetworkError):
             world.victim.app.login()
 
@@ -41,9 +60,8 @@ class TestResilience:
         everything (Figure 2's timeout arcs are reversible)."""
         world = make_world()
         assert world.victim_full_setup()
-        world.network.set_loss(0.3)
+        install_loss(world, 0.3, seconds=300.0)
         world.run(300.0)  # 60 heartbeat attempts at 30% loss
-        world.network.set_loss(0.0)
         world.run_heartbeats(2)
         assert world.shadow_state() == "control"
         assert world.bound_user() == world.victim.user_id
@@ -52,11 +70,10 @@ class TestResilience:
     def test_binding_survives_even_if_device_flaps_offline(self):
         world = make_world()
         assert world.victim_full_setup()
-        world.network.set_loss(0.95)  # near-total outage
+        install_loss(world, 0.95, seconds=120.0)  # near-total outage
         world.run(120.0)
         # the shadow may have gone offline, but never unbound
         assert world.bound_user() == world.victim.user_id
-        world.network.set_loss(0.0)
         world.run_heartbeats(2)
         assert world.shadow_state() == "control"
 
@@ -65,28 +82,31 @@ class TestResilience:
         for _ in range(2):
             world = make_world()
             assert world.victim_full_setup()
-            world.network.set_loss(0.5)
+            install_loss(world, 0.5)
             world.run(100.0)
             results.append(world.victim.device.last_error)
         assert results[0] == results[1]
 
 
 class TestLossSeam:
-    """set_loss is now a fault filter over the chaos seam."""
+    """Loss is a fault filter over the chaos seam."""
 
     def test_boundary_probabilities_accepted(self):
         world = make_world()
-        world.network.set_loss(0.0)  # exact lower bound
-        world.network.set_loss(1.0)  # exact upper bound
-        world.network.set_loss(0.0)  # and back off again
+        LinkFault(loss=1.0)  # exact upper bound
+        install_loss(world, 0.0)  # exact lower bound
         assert world.victim_full_setup()
 
-    def test_zero_loss_uninstalls_the_filter(self):
+    def test_ended_loss_window_leaves_the_world_calm(self):
+        calm = make_world()
+        assert calm.victim_full_setup()
         world = make_world()
-        world.network.set_loss(0.4)
-        assert world.network.fault_filter("loss") is not None
-        world.network.set_loss(0.0)
-        assert world.network.fault_filter("loss") is None
+        injector = install_loss(world, 0.4, seconds=0.0)
+        assert world.victim_full_setup()
+        assert injector.summary()["requests"] > 0
+        assert injector.summary()["dropped"] == 0
+        assert world.bound_user() == calm.bound_user()
+        assert list(world.cloud.audit.entries) == list(calm.cloud.audit.entries)
 
     def test_loss_deterministic_under_shard_seeds(self):
         """Shard-derived seeds reproduce their own loss pattern exactly."""
@@ -99,9 +119,8 @@ class TestLossSeam:
             )
             world = Deployment(design, seed=seed)
             assert world.victim_full_setup()
-            world.network.set_loss(0.5)
+            injector = install_loss(world, 0.5)
             world.run(100.0)
-            injector = world.network.fault_filter("loss")
             return (world.victim.device.last_error, injector.summary())
 
         for shard in range(3):

@@ -10,6 +10,7 @@ the campaigns measure.
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import time
 
 import pytest
 
+import repro
 from repro.chaos import ChaosSpec
 from repro.core.errors import ConfigurationError
 from repro.fleet import FleetDeployment, WorldImage
@@ -497,6 +499,89 @@ class TestPoolRobustness:
         assert done.returncode == 1 and "respawns=0" in done.stdout
         assert "PoolError: worker 0 exited with code 1 before it started" in done.stderr
         assert 'if __name__ == "__main__":' in done.stderr
+
+    def test_worker_killed_while_coordinator_waits_is_respawned(self):
+        specs = self.specs()
+        reference = [run_shard(spec) for spec in specs]
+        armed, kills, respawns = [], [], []
+        with WorkerPool(workers=2, heartbeat_interval=1.0) as pool:
+            wait = pool._await_message
+            respawn = pool._respawn
+
+            def kill_while_blocked(results):
+                if not armed:
+                    armed.append(True)
+                    # Freeze the slot the coordinator is about to block
+                    # on, so its task cannot finish first, then kill it
+                    # while the coordinator waits.
+                    target = next(s for s in pool._slots if s.outstanding)
+                    os.kill(target.process.pid, signal.SIGSTOP)
+
+                    def kill():
+                        time.sleep(0.1)
+                        kills.append(time.monotonic())
+                        pool.kill_worker(target.index)
+
+                    threading.Thread(target=kill).start()
+                wait(results)
+
+            def timed_respawn(slot, attempts, results):
+                respawns.append(time.monotonic())
+                respawn(slot, attempts, results)
+
+            pool._await_message = kill_while_blocked
+            pool._respawn = timed_respawn
+            results = pool.run(specs)
+            stats = pool.stats()
+        assert stats["respawns"] >= 1
+        # noticed within one heartbeat interval (plus scheduling slack)
+        assert respawns[0] - kills[0] < pool.heartbeat_interval + 0.25
+        for got, want in zip(results, reference):
+            assert got.report.__dict__ == want.report.__dict__
+            assert got.metrics == want.metrics
+            assert got.audit_entries == want.audit_entries
+            assert got.state_counts == want.state_counts
+
+    @pytest.mark.skipif(
+        preferred_start_method() != "forkserver", reason="needs a forkserver"
+    )
+    def test_forkserver_preload_spares_workers_the_engine_import(self, tmp_path):
+        # The coordinator finds repro through sys.path alone, the way
+        # benchmarks/perf/run.py does; the forkserver preloads the engine
+        # so its workers fork with it imported.  -X importtime prints a
+        # line per import of repro.parallel.engine in every process.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = tmp_path / "pooled.py"
+        script.write_text(
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from repro.parallel import run_campaign\n"
+            "from repro.vendors import vendor\n"
+            "if __name__ == '__main__' and sys.argv[1:] == ['pool']:\n"
+            "    run_campaign(vendor('OZWI'), households=2, max_probes=4,\n"
+            "                 shards=2, workers=2)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+        def engine_imports(*args):
+            done = subprocess.run(
+                [sys.executable, "-X", "importtime", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+                cwd=tmp_path,
+            )
+            assert done.returncode == 0, done.stderr[-2000:]
+            return sum(
+                line.endswith(" repro.parallel.engine")
+                for line in done.stderr.splitlines()
+            )
+
+        coordinator = engine_imports(str(script))
+        forkserver = engine_imports(
+            "-c", f"import sys; sys.path.insert(0, {src!r}); "
+            "__import__('repro.parallel.engine')",
+        )
+        assert coordinator >= 1 and forkserver >= 1
+        assert engine_imports(str(script), "pool") == coordinator + forkserver
 
     def test_pool_rejects_zero_workers(self):
         with pytest.raises(PoolError):

@@ -60,10 +60,12 @@ Start = Tuple[int, str]
 ALLOWED: Dict[str, str] = {
     # -- benchmarks/perf: the perf-smoke job imports, calls or traces these
     "chaos/injector.py::FaultInjector.deliver_order": (
-        "benchmarks/perf (perf-smoke job) traces it; tests/test_chaos.py"),
+        "benchmarks/perf (perf-smoke job) traces it; no scanned world has "
+        "a LAN where reordering matters; "
+        "tests/test_chaos.py::TestBroadcastReorder"),
     "sim/rand.py::DeterministicRandom.shuffle": (
-        "FaultInjector.deliver_order's reorder draw (benchmarks/perf traces "
-        "deliver_order); no scanned world broadcasts from an app"),
+        "FaultInjector.deliver_order's reorder draw; "
+        "tests/test_chaos.py::TestBroadcastReorder"),
     "cloud/relay.py::Relay.clear_schedule": (
         "benchmarks/perf (perf-smoke job) names it in tracing.TARGETS"),
     "cloud/state/backends.py::MemoryBackend.entry_count": (
@@ -112,7 +114,8 @@ ALLOWED: Dict[str, str] = {
         "tests/test_state_layer.py"),
     "fuzz/oracles.py::ModelTracker._record": (
         "correctness aim: the Figure-2 conformance oracle records a "
-        "divergence here; no pinned design diverges"),
+        "divergence here; no pinned design diverges; "
+        "tests/test_fuzz_engine.py::test_model_tracker_records_*"),
     "analysis/design_space.py::_predict_capability": (
         "correctness aim: the closed-form predictor on capability designs; "
         "tests/test_analysis_design_space.py checks it against the "
@@ -193,8 +196,6 @@ ALLOWED: Dict[str, str] = {
         "spec round-trip equality; tests/test_pdp.py"),
     "cloud/pdp/model.py::Decision.explain": (
         "the explainable PDP verdict; tests/test_pdp.py"),
-    "chaos/faults.py::uniform_loss_plan": (
-        "Network.set_loss's fault plan; tests/test_network_loss.py"),
     "chaos/resilience.py::RetryPolicy.schedule": (
         "same-seed backoff determinism; tests/test_chaos.py"),
     # -- state the tests read to check outcomes
@@ -234,8 +235,8 @@ ALLOWED: Dict[str, str] = {
     "net/mitm.py::MitmProxy.add_rewrite": (
         "Frida-style rewrite; tests/test_net_network.py"),
     "net/network.py::Network": (
-        "LAN leave, handler swap and the set_loss seam; "
-        "tests/test_net_network.py, tests/test_network_loss.py"),
+        "LAN leave, handler swap and the fault-filter query; "
+        "tests/test_net_network.py, tests/test_chaos.py"),
     "net/provisioning.py::ProvisioningAir.listener_count": (
         "tests/test_net_discovery_provisioning.py"),
     "obs/detect/timeline.py::ForensicEvent": (
