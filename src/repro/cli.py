@@ -27,6 +27,7 @@ Usage (after ``pip install -e .``)::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -959,8 +960,19 @@ def _check_arguments(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"--rate must be positive, not {rate:g}")
 
 
+#: Exit status when standard output is closed early (``repro report |
+#: head -1``): 128 + SIGPIPE, what a shell reports for a pipe writer the
+#: reader left behind.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    0 on success, 2 on a typed user error (one ``error:`` line on
+    stderr), :data:`EXIT_BROKEN_PIPE` without a message when the reader
+    of standard output went away.
+    """
     from repro.core.errors import ConfigurationError
 
     parser = build_parser()
@@ -968,9 +980,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _check_arguments(args)
         print(args.run(args))
+        sys.stdout.flush()
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at
+        # /dev/null so that flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -83,7 +83,7 @@ class PolicyDecisionPoint:
     """Evaluates one cloud's :class:`PolicySpec` over its live stores."""
 
     __slots__ = (
-        "service", "spec", "_compiled", "_allow_traces", "_last", "_timed", "last_ns",
+        "service", "spec", "_compiled", "_traces", "_last", "_timed", "last_ns",
     )
 
     def __init__(
@@ -95,9 +95,11 @@ class PolicyDecisionPoint:
         #: *spec* compiled by :func:`compile_spec` (validated), unless the
         #: caller passes that result in
         self._compiled = compile_spec(spec) if compiled is None else compiled
-        #: per action, the rendered trace every allowed decision shares
-        #: (an allow passes every rule, in order); filled when timed
-        self._allow_traces: Dict[str, str] = {}
+        #: rendered traces shared by every decision that took the same
+        #: path: an allow by its action (it passes every rule, in
+        #: order), a denial by (action, deny position, code); filled
+        #: when timed
+        self._traces: Dict[Any, str] = {}
         self._last: Optional[Decision] = None
         #: the service's precomputed observed flag, read once
         self._timed = bool(getattr(service, "_observed", False))
@@ -134,31 +136,36 @@ class PolicyDecisionPoint:
         for name, impl, params, passed in self._compiled[request.action]:
             rejection = impl(ctx, params)
             if rejection is not None:
-                evaluations.append(
-                    RuleEval(name, "deny", getattr(rejection, "code", ""))
-                )
+                code = getattr(rejection, "code", "")
+                evaluations.append(RuleEval(name, "deny", code))
                 obligations = ctx.obligations
                 return self._finish(Decision(
                     False, rejection, tuple(evaluations),
                     tuple(obligations) if obligations else (), ctx.out,
+                    self._shared_trace(
+                        (request.action, len(evaluations), code), evaluations
+                    ) if self._timed else None,
                 ))
             evaluations.append(passed)
         obligations = ctx.obligations
         return self._finish(Decision(
             True, None, tuple(evaluations),
             tuple(obligations) if obligations else (), ctx.out,
-            self._allow_trace(request.action, evaluations) if self._timed else None,
+            self._shared_trace(request.action, evaluations) if self._timed else None,
         ))
 
-    def _allow_trace(self, action: str, evaluations: List[RuleEval]) -> str:
-        """The trace of an allowed *action* decision, rendered once.
+    def _shared_trace(self, key: Any, evaluations: List[RuleEval]) -> str:
+        """The trace of the decision path *key* names, rendered once.
 
         Observed services render every decision's trace for its
-        evidence; allowed ones share one string per action.
+        evidence.  The rules of an action run in a fixed order, so the
+        action alone names an allow's trail, and the action, the deny's
+        position and its code name a denial's; every decision on one
+        path shares one string.
         """
-        trace = self._allow_traces.get(action)
+        trace = self._traces.get(key)
         if trace is None:
-            trace = self._allow_traces[action] = ">".join(e.render() for e in evaluations)
+            trace = self._traces[key] = ">".join(e.render() for e in evaluations)
         return trace
 
     def take_last_decision(self) -> Optional[Decision]:

@@ -3,24 +3,33 @@
 A backend is the durability medium behind the unified state layer.  It
 receives one entry per durable store mutation (full-record upserts and
 key deletes, see :class:`~repro.cloud.state.protocol.RecordStoreBase`)
-and can replay them later.  An entry holds exact JSON types only:
-``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``float``,
-``bool`` and ``None`` — no tuples, sets or bytes.  Both implementations
-keep each entry *encoded*, one immutable, GC-untracked object per
-append, and decode only on replay, so a long-lived journal costs its
-encoded bytes rather than a heap of live dicts the cyclic garbage
-collector has to walk, and no later mutation of a record reaches the
-journal:
+and can replay them later.  An entry comes in one of two forms:
 
-* :class:`MemoryBackend` — the default: one ``marshal`` blob per entry
-  in a process-memory list, gone on process exit.  The entries never
-  leave the process (a restart recovers from them inside the same
-  interpreter), so the encoding is internal; for exact-JSON entries its
-  replay equals a JSON round trip.
+* a ``dict`` of exact JSON types only — ``dict`` with ``str`` keys,
+  ``list``, ``str``, ``int``, ``float``, ``bool`` and ``None``, no
+  tuples, sets or bytes;
+* a *row put* — the plain tuple ``(store, field names, row)`` an
+  append-only store (the forensic timeline) hands over for one
+  immutable row it keeps anyway.  It stands for ``{"store": store,
+  "op": "put", "record": dict(zip(field names, row))}``; the zip stops
+  at the last name, so trailing volatile row fields are never journaled.
+
+Replay always yields the dict form (:func:`expand_entry`).  Both
+implementations keep one immutable, GC-untracked object per append and
+decode only on replay, so a long-lived journal costs its encoded bytes
+rather than a heap of live dicts the cyclic garbage collector has to
+walk, and no later mutation of a record reaches the journal:
+
+* :class:`MemoryBackend` — the default: one ``marshal`` blob per dict
+  entry, and each row put kept as the tuple itself, in a process-memory
+  list, gone on process exit.  The entries never leave the process (a
+  restart recovers from them inside the same interpreter), so the
+  encoding is internal; for exact-JSON entries its replay equals a JSON
+  round trip.
 * :class:`JournalBackend` — an append-only JSON-lines write-ahead log
-  (one entry per line, ``sort_keys`` canonical form), optionally backed
-  by a file.  It supports *fault injection* — a torn final write via
-  :meth:`JournalBackend.crash_mid_write` or a scheduled
+  (one expanded entry per line, ``sort_keys`` canonical form),
+  optionally backed by a file.  It supports *fault injection* — a torn
+  final write via :meth:`JournalBackend.crash_mid_write` or a scheduled
   ``fail_after_appends`` crash — and *tolerant replay*: a truncated or
   partial tail is detected, counted and skipped, while corruption
   anywhere else is an error.  ``repro.cloud.state.journal`` rebuilds a
@@ -35,10 +44,32 @@ from __future__ import annotations
 import json
 import marshal
 import os
-from typing import Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 from repro.cloud.state.protocol import Record
 from repro.core.errors import ConfigurationError, SimulationError
+
+#: An append-only store's put of one immutable row: ``(store, field
+#: names, row)``, kept by reference and expanded only on replay.
+RowPut = Tuple[str, Tuple[str, ...], Tuple[Any, ...]]
+
+#: What a backend accepts per append: a record-level dict or a row put.
+Entry = Union[Record, RowPut]
+
+
+def expand_entry(entry: Entry) -> Record:
+    """The dict form of *entry*: a row put becomes a ``put`` entry."""
+    if type(entry) is tuple:
+        store, names, row = entry
+        return {"store": store, "op": "put", "record": dict(zip(names, row))}
+    return entry
+
+
+def _load(item: Any) -> Record:
+    """Decode one stored :class:`MemoryBackend` item."""
+    if type(item) is tuple:
+        return expand_entry(item)
+    return marshal.loads(item)
 
 
 class JournalCrash(SimulationError):
@@ -66,29 +97,32 @@ class StateBackend:
 
 
 class MemoryBackend(StateBackend):
-    """Entries kept as ``marshal`` bytes in a list — the default.
+    """Entries kept in a list — the default.
 
-    ``marshal`` round-trips every exact JSON type unchanged without the
-    JSON encoder's per-call cost.  Unlike JSON it would also keep a
-    tuple, a non-``str`` key, a set or bytes, so the record contract
-    (exact JSON types only) is what keeps this replay equal to the
-    on-disk :class:`JournalBackend`'s.
+    A dict entry is kept as ``marshal`` bytes: ``marshal`` round-trips
+    every exact JSON type unchanged without the JSON encoder's per-call
+    cost.  Unlike JSON it would also keep a tuple, a non-``str`` key, a
+    set or bytes, so the record contract (exact JSON types only) is what
+    keeps this replay equal to the on-disk :class:`JournalBackend`'s.
+    A row put is kept as the tuple itself: its row is already immutable
+    and held by its store, so the entry costs one small tuple, and the
+    collector untracks it as it would the bytes.
     """
 
     def __init__(self) -> None:
-        self._blobs: List[bytes] = []
+        self._items: List[Any] = []
 
-    def append(self, entry: Record) -> None:
-        """Encode *entry* once; no later mutation of it reaches the blob."""
-        self._blobs.append(marshal.dumps(entry))
+    def append(self, entry: Entry) -> None:
+        """Keep *entry* immutable; no later mutation of it reaches the list."""
+        self._items.append(entry if type(entry) is tuple else marshal.dumps(entry))
 
     def replay(self) -> Iterator[Record]:
         """Decode the recorded entries lazily, oldest first."""
-        return map(marshal.loads, self._blobs)
+        return map(_load, self._items)
 
     def entry_count(self) -> int:
         """Number of recorded entries (no decoding needed)."""
-        return len(self._blobs)
+        return len(self._items)
 
 
 class JournalBackend(StateBackend):
@@ -145,9 +179,9 @@ class JournalBackend(StateBackend):
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(text)
 
-    def append(self, entry: Record) -> None:
+    def append(self, entry: Entry) -> None:
         """Append one canonical JSON line (honouring injected faults)."""
-        line = json.dumps(entry, sort_keys=True) + "\n"
+        line = json.dumps(expand_entry(entry), sort_keys=True) + "\n"
         self._appends += 1
         if (
             self.fail_after_appends is not None

@@ -42,8 +42,9 @@ from repro.core.errors import ConfigurationError
 #: traffic; ``MemoryBackend`` would keep what JSON normalises).
 Record = Dict[str, Any]
 
-#: A journal write hook: receives one JSON-able journal entry.
-JournalWrite = Callable[[Record], None]
+#: A journal write hook: receives one journal entry, a record-level dict
+#: or an append-only store's row put (``repro.cloud.state.backends``).
+JournalWrite = Callable[[Any], None]
 
 #: A record transform used while cloning (return the new record).
 RecordTransform = Callable[[Record], Record]

@@ -125,6 +125,13 @@ class ForensicTimeline(RecordStoreBase):
     is its seq, so a seq is looked up by index and a record whose seq
     would leave a gap is refused.  :class:`ForensicEvent` objects are
     built only for sinks and readers.
+
+    A live event is journaled by reference: the write-ahead hook gets
+    the plain tuple ``("forensics", _EVENT_FIELDS, row)`` (a *row put*,
+    see :mod:`repro.cloud.state.backends`), not a freshly encoded record
+    dict.  The 13 field names stop short of ``decision_trace``, so the
+    journal, its replay and the on-disk lines carry exactly the
+    :meth:`to_record` fields.
     """
 
     state_name = "forensics"
@@ -175,13 +182,11 @@ class ForensicTimeline(RecordStoreBase):
         )
         rows.append(row)
         self._by_device.setdefault(device_id, []).append(seq)
-        # Lazy serialization: the record dict is only materialized when a
-        # write-ahead journal is actually bound — the always-on unjournaled
-        # case (every campaign world) pays just the churn bump.
+        # The journal keeps the immutable row itself (a row put, see
+        # repro.cloud.state.backends); its 13 names leave out the trail.
+        self._note_mutation()
         if self._journal_write is not None:
-            self._record_put(dict(zip(_EVENT_FIELDS, row)))
-        else:
-            self._note_mutation()
+            self._journal_write((self.state_name, _EVENT_FIELDS, row))
         if self._sinks:
             event = ForensicEvent(*row)
             for sink in self._sinks:

@@ -147,6 +147,12 @@ def _worker_main(
     Imports the engine lazily so the module graph stays acyclic
     (``engine`` imports this module for the pooled execution path) and
     the entry point works under every start method.
+
+    The heartbeat thread also watches the coordinator: once its end of
+    the start-up pipe is closed (``parent_process()``'s sentinel), no
+    one will read a result or send :class:`Shutdown`, so the worker
+    exits within one heartbeat interval instead of waiting on its task
+    queue forever.
     """
     from repro.parallel.engine import run_shard
 
@@ -154,6 +160,7 @@ def _worker_main(
     out_queue.put(WorkerHello(worker=slot, pid=os.getpid()))
 
     stop = threading.Event()
+    coordinator = multiprocessing.parent_process()
 
     def beat() -> None:
         seq = 0
@@ -164,6 +171,8 @@ def _worker_main(
                 return
             seq += 1
             stop.wait(heartbeat_interval)
+            if coordinator is not None and not coordinator.is_alive():
+                os._exit(0)
 
     heartbeats = threading.Thread(target=beat, daemon=True)
     heartbeats.start()

@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+
 from repro.analysis.evaluator import evaluate_all_vendors
 from repro.analysis.export import evaluation_to_dict, to_csv, to_json, to_markdown
-from repro.cli import build_parser, main
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +292,24 @@ class TestCli:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_closed_stdout_exits_quietly(self):
+        # The reader went away, as after `repro report | head -1`: the
+        # read end is closed before the command writes, so its first
+        # write fails.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "table3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_BROKEN_PIPE == 141
+        assert done.stderr == b""
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -94,6 +94,20 @@ def test_observed_requests_leave_no_tracked_objects(name):
     assert obs.matches_audit(fleet.cloud.audit)
 
 
+@pytest.mark.parametrize("name", ["KONKE", "OZWI", "Secure-Capability"])
+def test_decisions_on_one_path_share_one_trace(name):
+    """An observed PDP renders each decision path's trail once: the
+    forensic rows of every denial, like every allow, of one message kind
+    and trail hold the same string."""
+    _, fleet, _, _ = observed_world(ALL_DESIGNS[name])
+    objects = {}
+    for event in fleet.cloud.forensics.events():
+        trace = event.decision_trace
+        objects.setdefault((event.kind, trace), set()).add(id(trace))
+    assert [trace for _, trace in objects if ":deny(" in trace]
+    assert {path: len(ids) for path, ids in objects.items() if len(ids) > 1} == {}
+
+
 # -- batched RED accounting ----------------------------------------------------
 
 

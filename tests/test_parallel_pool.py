@@ -8,6 +8,7 @@ counts.  The pool is an engine concern; it must never leak into what
 the campaigns measure.
 """
 
+import json
 import os
 import pickle
 import signal
@@ -38,6 +39,7 @@ from repro.parallel import (
 )
 from repro.parallel.protocol import Heartbeat
 from repro.parallel.pool import (
+    HEARTBEAT_INTERVAL,
     MAX_TASK_ATTEMPTS,
     preferred_start_method,
     task_overdue,
@@ -582,6 +584,78 @@ class TestPoolRobustness:
         )
         assert coordinator >= 1 and forkserver >= 1
         assert engine_imports(str(script), "pool") == coordinator + forkserver
+
+    @pytest.mark.skipif(
+        preferred_start_method() != "forkserver" or not os.path.isdir("/proc"),
+        reason="needs a forkserver and /proc",
+    )
+    def test_pool_processes_exit_when_the_coordinator_is_killed(self, tmp_path):
+        # Nothing sends Shutdown to a SIGKILLed coordinator's workers.
+        # Each notices its coordinator is gone within a heartbeat
+        # interval; the forkserver and the resource tracker then lose
+        # their last writer and exit too.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        pids_path = tmp_path / "pids.json"
+        script = tmp_path / "coordinator.py"
+        script.write_text(
+            "import json, os, sys, time\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from multiprocessing import forkserver, resource_tracker\n"
+            "from repro.parallel import WorkerPool\n"
+            "if __name__ == '__main__':\n"
+            "    pool = WorkerPool(workers=2)\n"
+            "    pool.start()\n"
+            "    pids = [slot.process.pid for slot in pool._slots]\n"
+            "    pids += [forkserver._forkserver._forkserver_pid,\n"
+            "             resource_tracker._resource_tracker._pid]\n"
+            "    with open(sys.argv[1] + '.tmp', 'w') as out:\n"
+            "        json.dump(pids, out)\n"
+            "    os.replace(sys.argv[1] + '.tmp', sys.argv[1])\n"
+            "    time.sleep(600)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["TMPDIR"] = str(tmp_path)  # the forkserver's socket directory
+
+        def running(pid):
+            # an exited orphan may linger as a zombie of a non-reaping init
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        pids = []
+        # Output goes to a file: orphans holding an inherited pipe would
+        # keep a reader waiting for EOF.
+        with open(tmp_path / "coordinator.log", "w") as log:
+            coordinator = subprocess.Popen(
+                [sys.executable, str(script), str(pids_path)],
+                stdout=log, stderr=log, env=env, cwd=tmp_path,
+            )
+        try:
+            deadline = time.monotonic() + 120
+            while not pids_path.exists():
+                assert coordinator.poll() is None, (
+                    tmp_path / "coordinator.log").read_text()[-2000:]
+                assert time.monotonic() < deadline, "pool did not start"
+                time.sleep(0.05)
+            pids = json.loads(pids_path.read_text())
+            assert len(pids) == 4 and all(pids), pids
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            deadline = time.monotonic() + HEARTBEAT_INTERVAL + 3.0
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if running(pid)] == []
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait(timeout=10)
+            for pid in filter(running, pids):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_pool_rejects_zero_workers(self):
         with pytest.raises(PoolError):

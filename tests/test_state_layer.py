@@ -6,6 +6,7 @@ after a truncated tail, and clone-built vs replay-built fleet state
 equality — plus unit coverage of the record primitives and backends.
 """
 
+import gc
 import json
 import time
 
@@ -27,10 +28,12 @@ from repro.cloud.state import (
     recover_from_journal,
     snapshot_store_counts,
 )
+from repro.cloud.state.backends import expand_entry
 from repro.core.errors import ConfigurationError
 from repro.fleet import FleetDeployment
 from repro.fuzz.corpus import all_designs
 from repro.net.network import Network
+from repro.obs.detect.timeline import ForensicTimeline
 from repro.scenario import Deployment
 from repro.sim.environment import Environment
 from repro.vendors import vendor
@@ -585,7 +588,8 @@ class TeeBackend(MemoryBackend):
     """A memory journal that feeds every entry to a JSON-lines WAL too.
 
     ``expected`` holds each entry's JSON round trip, taken at append
-    time: what the on-disk journal replays.
+    time and expanded from a row put exactly as ``JournalBackend``
+    expands it: what the on-disk journal replays.
     """
 
     def __init__(self):
@@ -596,7 +600,7 @@ class TeeBackend(MemoryBackend):
     def append(self, entry):
         super().append(entry)
         self.journal.append(entry)
-        self.expected.append(json.loads(json.dumps(entry)))
+        self.expected.append(json.loads(json.dumps(expand_entry(entry))))
 
 
 class TestJournalEntriesAreExactJson:
@@ -644,6 +648,66 @@ class TestJournalEntriesAreExactJson:
                 json.dumps(build_snapshot(recovered.cloud), sort_keys=True)
             )
         assert snapshots[0] == snapshots[1]
+
+
+# ---------------------------------------------------------------------------
+# forensic events are journaled by reference
+# ---------------------------------------------------------------------------
+
+
+def record_events(timeline, count, start=0):
+    """Record *count* live events with fresh strings, as a cloud would."""
+    for index in range(start, start + count):
+        timeline.record(
+            float(index), f"dev-{index % 7}", "bind", f"Bind(dev-{index})",
+            "attacker:host", "203.0.113.9", f"trace-{index}", f"span-{index}",
+            "ok", "attacker", f"user-{index % 5}", index % 2 == 0,
+            "require-user:pass>check-rebind:pass",
+        )
+
+
+class TestForensicRowPuts:
+    def test_journaled_event_is_the_live_row(self):
+        timeline, backend = ForensicTimeline(), MemoryBackend()
+        timeline.bind_journal(backend.append)
+        record_events(timeline, 3)
+        assert backend.entry_count() == 3
+        for seq, item in enumerate(backend._items):
+            assert type(item) is tuple
+            assert item[0] == "forensics"
+            assert item[2] is timeline._rows[seq]
+        assert backend.entries() == [
+            {"store": "forensics", "op": "put", "record": record}
+            for record in timeline.snapshot_state()
+        ]
+
+    def test_entries_are_untracked_after_a_collection(self):
+        timeline, backend = ForensicTimeline(), MemoryBackend()
+        timeline.bind_journal(backend.append)
+        record_events(timeline, 100)
+        gc.collect()
+        tracked = len(gc.get_objects())
+        record_events(timeline, 5000, start=100)
+        gc.collect()
+        assert not [item for item in backend._items if gc.is_tracked(item)]
+        # the two lists' own growth aside, nothing per event stays tracked
+        assert len(gc.get_objects()) - tracked < 50
+
+    def test_journal_line_of_a_row_put_matches_the_dict_form(self, tmp_path):
+        timeline = ForensicTimeline()
+        row_path, dict_path = tmp_path / "rows.jsonl", tmp_path / "dicts.jsonl"
+        rows, dicts = JournalBackend(str(row_path)), JournalBackend(str(dict_path))
+        timeline.bind_journal(rows.append)
+        record_events(timeline, 4)
+        for event in timeline.events():
+            assert event.decision_trace  # volatile: never journaled
+            dicts.append({
+                "store": "forensics", "op": "put",
+                "record": timeline.to_record(event),
+            })
+        assert row_path.read_bytes() == dict_path.read_bytes()
+        assert b"decision_trace" not in row_path.read_bytes()
+        assert rows.entries() == dicts.entries()
 
 
 # ---------------------------------------------------------------------------
