@@ -54,6 +54,14 @@ class KnownDevice:
     post_binding_token: Optional[str] = None
 
 
+def _copy_known(devices: Dict[str, KnownDevice]) -> Dict[str, KnownDevice]:
+    """A copy of an app's known devices that shares no mutable record."""
+    return {
+        device_id: KnownDevice(known.device_id, known.model, known.post_binding_token)
+        for device_id, known in devices.items()
+    }
+
+
 class MobileApp:
     """A vendor companion app logged in (or not) as one user."""
 
@@ -108,6 +116,15 @@ class MobileApp:
             breaker=breaker if breaker is not None else CircuitBreaker(),
             role="app",
         )
+
+    def capture_fields(self) -> Dict[str, Any]:
+        """The session and known devices, as picklable data (world images)."""
+        return {"user_token": self.user_token, "devices": _copy_known(self.devices)}
+
+    def restore_fields(self, fields: Dict[str, Any]) -> None:
+        """Overlay :meth:`capture_fields` onto this freshly built app."""
+        self.user_token = fields["user_token"]
+        self.devices = _copy_known(fields["devices"])
 
     # ------------------------------------------------------------------
     # network position

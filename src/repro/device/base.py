@@ -16,6 +16,7 @@ shows up in this list.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -37,6 +38,7 @@ from repro.device.local import (
     DeliverUserCredential,
     LocalAck,
 )
+from repro.device.peripherals import Sensor
 from repro.identity.keys import KeyPair
 from repro.net.discovery import SsdpDescription, SsdpSearch
 from repro.net.network import Network
@@ -136,6 +138,8 @@ class DeviceFirmware:
         #: cloud-synced on/off schedule ({"on": "HH:MM", "off": "HH:MM"})
         self.schedule: Dict[str, str] = {}
         self._last_schedule_check: Optional[float] = None
+        #: the on-board sensor, if the type has one (set by initial_state)
+        self.sensor: Optional[Sensor] = None
         self.state: Dict[str, Any] = self.initial_state()
 
     # ------------------------------------------------------------------
@@ -442,6 +446,71 @@ class DeviceFirmware:
         self._heartbeat_handle = self.env.every(
             self.design.heartbeat_interval, self.heartbeat
         )
+
+    # ------------------------------------------------------------------
+    # world images (warm starts)
+    # ------------------------------------------------------------------
+
+    def capture_fields(self) -> Dict[str, Any]:
+        """Every field that set-up and running change, as picklable data."""
+        return {
+            "powered": self.powered,
+            "wifi": self.wifi,
+            "lan_id": self._lan_id,
+            "dev_token": self.dev_token,
+            "post_binding_token": self.post_binding_token,
+            "pending_user_credential": self._pending_user_credential,
+            "listening": self._stop_listening is not None,
+            "connected": self.connected,
+            "last_error": self.last_error,
+            "executed_commands": list(self.executed_commands),
+            "schedule": dict(self.schedule),
+            "last_schedule_check": self._last_schedule_check,
+            "state": copy.deepcopy(self.state),
+            "heartbeat_next": (
+                self._heartbeat_handle.time if self._heartbeat_handle is not None else None
+            ),
+            "sensor_reads": self.sensor.reads if self.sensor is not None else None,
+        }
+
+    def restore_fields(self, fields: Dict[str, Any]) -> None:
+        """Overlay :meth:`capture_fields` onto this freshly built device.
+
+        Re-joins the captured LAN and re-arms heartbeats at the captured
+        phase, so the next heartbeat fires when the captured one would.
+        """
+        if self._heartbeat_handle is not None:  # armed by a clone build
+            self._heartbeat_handle.cancel()
+            self._heartbeat_handle = None
+        self.powered = fields["powered"]
+        self.wifi = fields["wifi"]
+        self.dev_token = fields["dev_token"]
+        self.post_binding_token = fields["post_binding_token"]
+        self._pending_user_credential = fields["pending_user_credential"]
+        self.connected = fields["connected"]
+        self.last_error = fields["last_error"]
+        self.executed_commands = list(fields["executed_commands"])
+        self.schedule = dict(fields["schedule"])
+        self._last_schedule_check = fields["last_schedule_check"]
+        self.state = copy.deepcopy(fields["state"])
+        if fields["sensor_reads"] is not None:
+            self.sensor.resume(fields["sensor_reads"])
+        lan_id = fields["lan_id"]
+        if self._lan_id != lan_id:
+            if self._lan_id is not None:
+                self.network.leave_lan(self.node_name)
+            if lan_id is not None:
+                self.network.join_lan(self.node_name, lan_id, self.wifi.passphrase)
+            self._lan_id = lan_id
+        heartbeat_next = fields["heartbeat_next"]
+        if heartbeat_next is not None:
+            self._heartbeat_handle = self.env.every(
+                self.design.heartbeat_interval,
+                self.heartbeat,
+                start_delay=heartbeat_next - self.env.now,
+            )
+        if fields["listening"] and self.wifi is None:
+            self.enter_provisioning_mode()
 
     # ------------------------------------------------------------------
     # local (LAN) protocol

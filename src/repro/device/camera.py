@@ -16,7 +16,7 @@ class IpCamera(DeviceFirmware):
     firmware_version = "4.0.2"
 
     def initial_state(self) -> Dict[str, Any]:
-        self._motion = MotionSensor(self.env.rng.fork(f"motion-{self.device_id}"))
+        self._motion = self.sensor = MotionSensor(self.env.rng.fork(f"motion-{self.device_id}"))
         return {"on": True, "streaming": False, "pan_deg": 0}
 
     def read_telemetry(self) -> Dict[str, Any]:

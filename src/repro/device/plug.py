@@ -20,7 +20,7 @@ class SmartPlug(DeviceFirmware):
 
     def initial_state(self) -> Dict[str, Any]:
         """Per-outlet relay states plus the master flag."""
-        self._meter = PowerMeter(self.env.rng.fork(f"meter-{self.device_id}"))
+        self._meter = self.sensor = PowerMeter(self.env.rng.fork(f"meter-{self.device_id}"))
         return {"on": False}
 
     def read_telemetry(self) -> Dict[str, Any]:

@@ -20,7 +20,7 @@ class TemperatureSensor(DeviceFirmware):
     firmware_version = "1.0.9"
 
     def initial_state(self) -> Dict[str, Any]:
-        self._thermo = Thermometer(self.env.rng.fork(f"thermo-{self.device_id}"))
+        self._thermo = self.sensor = Thermometer(self.env.rng.fork(f"thermo-{self.device_id}"))
         return {"on": True}
 
     def read_telemetry(self) -> Dict[str, Any]:

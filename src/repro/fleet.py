@@ -378,44 +378,6 @@ class FleetDeployment:
                     "cannot capture a world image with resilience clients "
                     "installed; chaos shards run cold"
                 )
-        device_states: List[Dict[str, Any]] = []
-        app_states: List[Dict[str, Any]] = []
-        for household in self.households:
-            device = household.device
-            device_states.append(
-                {
-                    "powered": device.powered,
-                    "wifi": device.wifi,
-                    "lan_id": device._lan_id,
-                    "dev_token": device.dev_token,
-                    "post_binding_token": device.post_binding_token,
-                    "pending_user_credential": device._pending_user_credential,
-                    "listening": device._stop_listening is not None,
-                    "connected": device.connected,
-                    "last_error": device.last_error,
-                    "executed_commands": list(device.executed_commands),
-                    "schedule": dict(device.schedule),
-                    "last_schedule_check": device._last_schedule_check,
-                    "state": copy.deepcopy(device.state),
-                    "heartbeat_next": (
-                        device._heartbeat_handle.time
-                        if device._heartbeat_handle is not None
-                        else None
-                    ),
-                }
-            )
-            app = household.app
-            app_states.append(
-                {
-                    "user_token": app.user_token,
-                    "devices": {
-                        device_id: KnownDevice(
-                            known.device_id, known.model, known.post_binding_token
-                        )
-                        for device_id, known in app.devices.items()
-                    },
-                }
-            )
         observer = self.env.observer
         metrics = (
             observer.metrics.snapshot() if hasattr(observer, "metrics") else None
@@ -431,8 +393,8 @@ class FleetDeployment:
             trace_state=self.network.trace_state(),
             metrics=metrics,
             attacker_token=self._attacker_token,
-            device_states=device_states,
-            app_states=app_states,
+            device_states=[h.device.capture_fields() for h in self.households],
+            app_states=[h.app.capture_fields() for h in self.households],
         )
 
     @classmethod
@@ -459,53 +421,11 @@ class FleetDeployment:
             build=image.build,
         )
         fleet.cloud.restore_campaign_state(image.cloud_state)
-        now = fleet.env.now
         for household, device_state, app_state in zip(
             fleet.households, image.device_states, image.app_states
         ):
-            device = household.device
-            if device._heartbeat_handle is not None:
-                # clone builds arm heartbeats at t=0; re-arm below with
-                # the captured phase instead
-                device._heartbeat_handle.cancel()
-                device._heartbeat_handle = None
-            device.powered = device_state["powered"]
-            device.wifi = device_state["wifi"]
-            device.dev_token = device_state["dev_token"]
-            device.post_binding_token = device_state["post_binding_token"]
-            device._pending_user_credential = device_state["pending_user_credential"]
-            device.connected = device_state["connected"]
-            device.last_error = device_state["last_error"]
-            device.executed_commands = list(device_state["executed_commands"])
-            device.schedule = dict(device_state["schedule"])
-            device._last_schedule_check = device_state["last_schedule_check"]
-            device.state = copy.deepcopy(device_state["state"])
-            lan_id = device_state["lan_id"]
-            if device._lan_id != lan_id:
-                if device._lan_id is not None:
-                    fleet.network.leave_lan(device.node_name)
-                if lan_id is not None:
-                    fleet.network.join_lan(
-                        device.node_name, lan_id, household.wifi_passphrase
-                    )
-                device._lan_id = lan_id
-            heartbeat_next = device_state["heartbeat_next"]
-            if heartbeat_next is not None:
-                device._heartbeat_handle = fleet.env.every(
-                    device.design.heartbeat_interval,
-                    device.heartbeat,
-                    start_delay=heartbeat_next - now,
-                )
-            if device_state["listening"] and device.wifi is None:
-                device.enter_provisioning_mode()
-            app = household.app
-            app.user_token = app_state["user_token"]
-            app.devices = {
-                device_id: KnownDevice(
-                    known.device_id, known.model, known.post_binding_token
-                )
-                for device_id, known in app_state["devices"].items()
-            }
+            household.device.restore_fields(device_state)
+            household.app.restore_fields(app_state)
         fleet.network.restore_trace_state(image.trace_state)
         fleet.env.rng.setstate(image.env_rng_state)
         fleet._attacker_token = image.attacker_token

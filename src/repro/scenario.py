@@ -20,7 +20,7 @@ from repro.core.errors import ProtocolError, RequestRejected
 from repro.device import DEVICE_CLASSES
 from repro.device.base import DeviceFirmware
 from repro.identity.device_ids import scheme_from_name
-from repro.identity.keys import generate_keypair
+from repro.identity.keys import cached_keypair
 from repro.net.network import Network
 from repro.net.provisioning import ProvisioningAir
 from repro.obs.observer import Observer
@@ -104,27 +104,7 @@ class Deployment:
         self.network.create_lan(lan_id, ssid, wifi_passphrase, public_ip, subnet)
         self.cloud.accounts.register(user_id, password, self.env.now)
 
-        device_id = self.id_scheme.issue(self.env.rng)
-        keypair = None
-        if design.device_auth is DeviceAuthMode.PUBKEY:
-            keypair = generate_keypair(
-                self.env.rng.fork(f"keys-{device_id}"), device_id
-            )
-            self.cloud.manufacture_device(device_id, design.device_type, keypair.public)
-        else:
-            self.cloud.manufacture_device(device_id, design.device_type)
-
-        device_class = DEVICE_CLASSES[design.device_type]
-        device = device_class(
-            env=self.env,
-            network=self.network,
-            air=self.air,
-            design=design,
-            device_id=device_id,
-            location=location,
-            keypair=keypair,
-            node_name=f"device:{role}",
-        )
+        device = self._manufacture(design.device_type, location, f"device:{role}")
         app = MobileApp(
             env=self.env,
             network=self.network,
@@ -153,27 +133,30 @@ class Deployment:
         temperature sensor driving an AC plug).  The returned device is
         factory fresh; run ``setup_victim_device`` to bind it.
         """
-        design = self.design
+        return self._manufacture(
+            device_type or self.design.device_type,
+            self.victim.location,
+            f"device:victim-{label}",
+        )
+
+    def _manufacture(self, device_type: str, location: str, node_name: str) -> DeviceFirmware:
+        """Issue an ID, make its factory keys if the design signs, build it."""
         device_id = self.id_scheme.issue(self.env.rng)
         keypair = None
-        if design.device_auth is DeviceAuthMode.PUBKEY:
-            keypair = generate_keypair(self.env.rng.fork(f"keys-{device_id}"), device_id)
-            self.cloud.manufacture_device(device_id, device_type or design.device_type,
-                                          keypair.public)
-        else:
-            self.cloud.manufacture_device(device_id, device_type or design.device_type)
-        from repro.device import DEVICE_CLASSES as _CLASSES
-
-        device_class = _CLASSES[device_type or design.device_type]
-        return device_class(
+        if self.design.device_auth is DeviceAuthMode.PUBKEY:
+            keypair = cached_keypair(self.env.rng.fork(f"keys-{device_id}"), device_id)
+        self.cloud.manufacture_device(
+            device_id, device_type, keypair.public if keypair is not None else None
+        )
+        return DEVICE_CLASSES[device_type](
             env=self.env,
             network=self.network,
             air=self.air,
-            design=design,
+            design=self.design,
             device_id=device_id,
-            location=self.victim.location,
+            location=location,
             keypair=keypair,
-            node_name=f"device:victim-{label}",
+            node_name=node_name,
         )
 
     def setup_victim_device(self, device: DeviceFirmware) -> bool:

@@ -187,3 +187,27 @@ class TestRunnerDiscipline:
         first = run("OZWI", "A4-1", seed=2)
         second = run("OZWI", "A2", seed=2)
         assert second.outcome is Outcome.SUCCESS  # would fail on a dirty world
+
+    @pytest.mark.parametrize("name", ["OZWI", "E-Link Smart"])
+    def test_consecutive_control_attacks_each_see_the_victims_binding(
+        self, name, monkeypatch
+    ):
+        # The second control attack at a seed restores the staged world
+        # the first one captured; it must find the victim bound, even
+        # where the first attack hijacked the device (E-Link Smart).
+        from repro.attacks import runner
+
+        seen = []
+        for attack_id in ("A4-1", "A3-2"):
+            attack_fn, state = runner.ATTACKS[attack_id]
+
+            def spy(deployment, attacker, attack_fn=attack_fn):
+                seen.append(deployment.bound_user())
+                return attack_fn(deployment, attacker)
+
+            monkeypatch.setitem(runner.ATTACKS, attack_id, (spy, state))
+        runner._staged_worlds.clear()
+        first = run(name, "A4-1", seed=5)
+        run(name, "A3-2", seed=5)
+        assert seen == ["alice@example.com", "alice@example.com"]
+        assert (first.outcome is Outcome.SUCCESS) == (name == "E-Link Smart")

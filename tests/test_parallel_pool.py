@@ -150,6 +150,19 @@ class TestWarmStartEquality:
             fleet_warm.cloud.state_counts() == fleet_cold.cloud.state_counts()
         )
 
+    def test_restored_sensors_resume_their_streams(self):
+        # Heartbeats carry readings drawn from each device's own sensor
+        # stream; a restored device must draw the readings the captured
+        # one would have, not restart its stream.
+        fleet_cold, _ = deployed_world("D-LINK")
+        fleet_src, _ = deployed_world("D-LINK")
+        fleet_warm = FleetDeployment.from_image(fleet_src.capture_image())
+        for fleet in (fleet_cold, fleet_warm):
+            fleet.run(120.0)
+        telemetry = fleet_cold.cloud.relay.capture_volatile()["telemetry"]
+        assert telemetry
+        assert fleet_warm.cloud.relay.capture_volatile()["telemetry"] == telemetry
+
     def test_capture_refuses_resilience_clients(self):
         from repro.chaos import apply_chaos
 

@@ -14,6 +14,12 @@ designs and compares the oracle finding keys against
 the matrix that fuzzing has *ever* caught (not only on the design the
 witness was minimized on) fails the build too.
 
+Last, it replays the battery observed.  An observed run always stages
+its targeted state cold, while an unobserved one restores memoized
+staged-world images (``repro.attacks.runner.StagedWorld``), so any
+report that differs between the two fails the build, naming the first
+(design, attack) that does: CI guards both paths at the pinned seed.
+
 Usage:
     PYTHONPATH=src python tools/check_design_matrix.py            # gate
     PYTHONPATH=src python tools/check_design_matrix.py --update   # re-pin
@@ -33,6 +39,7 @@ sys.path.insert(
 from repro.analysis.evaluator import VendorEvaluation  # noqa: E402
 from repro.attacks.runner import run_all_attacks  # noqa: E402
 from repro.fuzz.corpus import replay_matrix  # noqa: E402
+from repro.obs.runtime import Observability  # noqa: E402
 from repro.secure.designs import SECURE_BASELINES  # noqa: E402
 from repro.vendors.profiles import STUDIED_VENDORS  # noqa: E402
 
@@ -46,10 +53,14 @@ CORPUS = TOOLS.parent / "tests" / "fixtures" / "fuzz_corpus"
 SEED = 0
 
 
+#: The 13 designs the matrix covers.
+DESIGNS = list(STUDIED_VENDORS) + list(SECURE_BASELINES)
+
+
 def compute_matrix(seed: int = SEED) -> dict:
     """Attack outcomes + Table III cells for all 13 designs."""
     designs = {}
-    for design in list(STUDIED_VENDORS) + list(SECURE_BASELINES):
+    for design in DESIGNS:
         reports = run_all_attacks(design, seed=seed)
         evaluation = VendorEvaluation(design, reports)
         designs[design.name] = {
@@ -151,6 +162,22 @@ def check_fuzz(path: pathlib.Path) -> int:
     return 0
 
 
+def check_cold_path(seed: int = SEED) -> int:
+    """Fail unless every observed (cold-staged) report equals the memoized one."""
+    for design in DESIGNS:
+        memoized = run_all_attacks(design, seed=seed)
+        observed = run_all_attacks(design, seed=seed, observer=Observability())
+        for attack_id, report in memoized.items():
+            if observed[attack_id] != report:
+                print(
+                    f"\nFAIL: {design.name} {attack_id}: the observed (cold) report "
+                    "differs from the memoized battery's"
+                )
+                return 1
+    print(f"\ncold-path gate: observed battery matches on all {len(DESIGNS)} designs")
+    return 0
+
+
 def update(path: pathlib.Path, fuzz_path: pathlib.Path) -> int:
     matrix = compute_matrix()
     path.write_text(json.dumps(matrix, indent=2, sort_keys=True) + "\n",
@@ -174,7 +201,8 @@ def main(argv: list) -> int:
     if options.update:
         return update(options.fixture, options.fuzz_fixture)
     status = check(options.fixture)
-    return status or check_fuzz(options.fuzz_fixture)
+    status = status or check_fuzz(options.fuzz_fixture)
+    return status or check_cold_path()
 
 
 if __name__ == "__main__":

@@ -86,9 +86,6 @@ ALLOWED: Dict[str, str] = {
     "fleet.py::FleetDeployment.bound_users": (
         "benchmarks/perf (perf-smoke job) checks bindings with it; "
         "tests/test_fleet_campaigns.py"),
-    "identity/keys.py::cached_keypair": (
-        "benchmarks/perf (perf-smoke job) builds Secure-PubKey fleets "
-        "through it; tests/test_pdp_bit_identity.py"),
     # -- worker side of the pool: runs in forkserver children
     "parallel/pool.py::_worker_main": (
         "the forkserver worker loop and its heartbeat thread; "
